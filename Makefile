@@ -19,12 +19,10 @@ lint:
 lint-negative:
 	./scripts/stmlint_negative.sh
 
+# race runs the exact script CI runs: the race detector over the
+# package list kept in that script.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/cm/... \
-		./internal/tuning/... ./internal/kvstore/... ./internal/kvserver/... \
-		./internal/kvproto/... ./internal/kvclient/... \
-		./internal/mvcc/... ./internal/reclaim/... ./internal/wal/... \
-		./internal/analysis/...
+	./scripts/race.sh
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -count=1 -run '^$$' \

@@ -28,6 +28,15 @@ package core
 // larger h) is unchanged in character; writers touching w distinct locks
 // in a bucket pay w increments instead of one.
 //
+// The skip is sound only with both sides ordered: a reader snapshots a
+// bucket's counter BEFORE its first read in the bucket, and a writer
+// increments the counter AFTER its lock CAS succeeds. A stale read means
+// the reader read an address before a foreign CAS on its lock; the
+// foreign increment follows that CAS, so it follows the reader's
+// snapshot too. Snapshotting after the read, or incrementing before the
+// CAS, each opens a window in which the increment lands inside the
+// snapshot while the lock change does not.
+//
 // The optional second level (Config.Hier2) realizes the paper's closing
 // remark that "this scheme can be generalized 'hierarchically' to
 // multiple levels of nesting": a coarser array of counters, each covering
@@ -35,9 +44,10 @@ package core
 // a single check before falling back to per-bucket and per-entry work.
 
 // hierRecordRead returns the read-set partition index for addr, recording
-// the bucket's counter on first contact. Only called with hierarchical
-// locking enabled; with h == 1 everything lives in partition 0 and Begin
-// pre-arms the single active bucket.
+// the bucket's counter on first contact; Load calls it before reading
+// (the snapshot must precede the read), so recordRead only indexes.
+// Only called with hierarchical locking enabled; with h == 1 everything
+// lives in partition 0 and Begin pre-arms the single active bucket.
 func (tx *Tx) hierRecordRead(addr uint64) uint64 {
 	g := tx.geo
 	b := g.hierIndex(addr)
@@ -55,28 +65,17 @@ func (tx *Tx) hierRecordRead(addr uint64) uint64 {
 	return b
 }
 
-// hierRecordWrite records a lock acquisition: first contact snapshots the
-// counter (the snapshot must precede our own increments for the
-// counter == snapshot + own-acquisitions fast-path rule), then the shared
-// counter is incremented to signal competing readers. Called once per
-// acquisition attempt; a failed CAS retries through here, which bumps
-// both the shared counter and the own count consistently (competitors
-// merely lose a skip opportunity). Only called with hierarchical locking
-// enabled.
-func (tx *Tx) hierRecordWrite(addr uint64) {
+// hierAcquired records a lock acquisition once its CAS has succeeded:
+// first contact snapshots the bucket counter (before our own increment,
+// for the counter == snapshot + own-acquisitions rule), then the shared
+// counter is incremented to signal competing readers. No-op without
+// hierarchical locking.
+func (tx *Tx) hierAcquired(addr uint64) {
 	g := tx.geo
-	b := g.hierIndex(addr)
-	if !tx.rmask.has(b) {
-		tx.rmask.set(b)
-		tx.hsnap[b] = g.hier[b].v.Load()
-		tx.hactive = append(tx.hactive, uint8(b))
-		if g.hier2Enabled() {
-			if b2 := g.hier2Index(b); !tx.rmask2.has(b2) {
-				tx.rmask2.set(b2)
-				tx.hsnap2[b2] = g.hier2[b2].v.Load()
-			}
-		}
+	if !g.hierEnabled() {
+		return
 	}
+	b := tx.hierRecordRead(addr)
 	g.hier[b].v.Add(1)
 	tx.hacq[b]++
 	if g.hier2Enabled() {

@@ -449,6 +449,12 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	a := mem.Addr(addr)
 	g := tx.geo
 	li := g.lockIndex(addr)
+	if !tx.ro && g.hierEnabled() {
+		// First contact with the bucket snapshots its counter BEFORE the
+		// read: a foreign acquisition that lands after our read must
+		// then be visible as a counter change at validation.
+		tx.hierRecordRead(addr)
+	}
 
 	lw := g.loadLock(li)
 	if !isOwned(lw) {
@@ -482,7 +488,8 @@ func (tx *Tx) recordRead(addr uint64, li uint64, ver uint64) {
 	}
 	b := uint64(0)
 	if tx.geo.hierEnabled() {
-		b = tx.hierRecordRead(addr)
+		// Load already recorded the bucket before reading.
+		b = tx.geo.hierIndex(addr)
 	}
 	part := tx.rparts[b]
 	// Duplicate-read suppression: loop-heavy transactions re-read the
@@ -638,14 +645,12 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 // acquire attempts to take the lock at li (currently reading lw) and
 // record the write. Returns false if the CAS lost a race.
 func (tx *Tx) acquire(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bool) bool {
-	if tx.geo.hierEnabled() {
-		tx.hierRecordWrite(uint64(a))
-	}
 	if tx.design == WriteThrough {
 		idx := len(tx.owned)
 		if !tx.geo.casLock(li, lw, mkOwned(tx.slot, idx)) {
 			return false
 		}
+		tx.hierAcquired(uint64(a))
 		tx.owned = append(tx.owned, lockRec{lockIdx: li, prevLock: lw})
 		old := tx.tm.space.Load(a)
 		tx.undo = append(tx.undo, undoEntry{addr: a, old: old})
@@ -659,6 +664,7 @@ func (tx *Tx) acquire(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bool)
 	if !tx.geo.casLock(li, lw, mkOwned(tx.slot, idx)) {
 		return false
 	}
+	tx.hierAcquired(uint64(a))
 	val := v
 	if lockOnly {
 		val = tx.tm.space.Load(a) // keep the committed value

@@ -125,7 +125,16 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 
 	//stm:allow-atomic experiment control plane: stop flag, not data under test
 	var stop atomic.Bool
-	var wg sync.WaitGroup
+	// started holds the clock until every worker runs; firstScan holds
+	// the stop, in snapshot mode, until every scanner completed one scan
+	// (AtomicSnap is wait-free, so that cannot hang). Together they bound
+	// the point by work, not only by the window: a scanner the scheduler
+	// has not run yet cannot leave the point with no scans.
+	var wg, started, firstScan sync.WaitGroup
+	started.Add(writers + cfg.Scanners)
+	if snapshots {
+		firstScan.Add(cfg.Scanners)
+	}
 	//stm:allow-atomic per-worker commit tally aggregated outside any transaction
 	var writerCommits atomic.Uint64
 	for w := 0; w < writers; w++ {
@@ -135,6 +144,7 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 			r := rng.NewThread(sc.Seed, id)
 			tx := tm.NewTx()
 			defer tx.Release()
+			started.Done()
 			var n uint64
 			for !stop.Load() {
 				key := zipf.Next(r)
@@ -156,7 +166,9 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 			defer wg.Done()
 			tx := tm.NewTx()
 			defer tx.Release()
+			started.Done()
 			var n, keys uint64
+			first := snapshots
 			// The scan body checks the stop flag every 1024 keys and
 			// bails: without the check, a starving classic read-only scan
 			// would retry inside one Atomic call forever and the
@@ -172,6 +184,10 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 			for !stop.Load() {
 				if snapshots {
 					tm.AtomicSnap(tx, scan)
+					if first {
+						first = false
+						firstScan.Done()
+					}
 				} else {
 					tm.AtomicRO(tx, scan)
 				}
@@ -189,8 +205,10 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 		}(writers + s)
 	}
 
+	started.Wait()
 	t0 := time.Now()
 	time.Sleep(cfg.Duration)
+	firstScan.Wait()
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(t0).Seconds()

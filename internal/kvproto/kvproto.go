@@ -57,10 +57,13 @@ const (
 	// desynchronized or hostile stream cannot make the reader allocate
 	// unboundedly.
 	MaxFrame = 1 << 20
-	// MaxBatchOps bounds one Batch request, mirroring the server's
-	// per-transaction batch cap.
+	// MaxBatchOps bounds one Batch request on either server surface: a
+	// batch is one transaction, and a giant one would conflict with
+	// everything and starve.
 	MaxBatchOps = 1024
-	// MaxScanPairs bounds one Scan response's pair list.
+	// MaxScanPairs bounds one Scan response's pair list on either server
+	// surface (a request's limit asks for fewer). The walk itself always
+	// covers the whole table, so the key count stays exact.
 	MaxScanPairs = 4096
 )
 
@@ -157,15 +160,19 @@ type BatchOp struct {
 	Old      uint64
 }
 
-// BatchResult is the outcome of one Batch sub-operation.
+// BatchResult is the outcome of one Batch sub-operation. The JSON tags
+// are the HTTP surface's encoding of the same result.
 type BatchResult struct {
-	Val   uint64
-	Found bool
-	OK    bool
+	Val   uint64 `json:"val"`
+	Found bool   `json:"found"`
+	OK    bool   `json:"ok"`
 }
 
-// KV is one Scan pair.
-type KV struct{ Key, Val uint64 }
+// KV is one Scan pair (JSON tags: the HTTP surface's encoding).
+type KV struct {
+	Key uint64 `json:"key"`
+	Val uint64 `json:"val"`
+}
 
 // Stats is the OpStats response body: the counters a load generator or
 // smoke test wants without parsing the HTTP /stats document.

@@ -17,7 +17,8 @@ import (
 	"tinystm/internal/wal"
 )
 
-// Request surfaces and op kinds label the request-latency histograms.
+// Request surfaces and data ops label the request-latency histograms;
+// the op index is op - kvproto.OpGet.
 const (
 	surfHTTP = iota
 	surfProto
@@ -26,18 +27,7 @@ const (
 
 var surfaceNames = [nSurfaces]string{"http", "proto"}
 
-const (
-	mopGet = iota
-	mopPut
-	mopDelete
-	mopCAS
-	mopAdd
-	mopBatch
-	mopScan
-	nReqOps
-)
-
-var reqOpNames = [nReqOps]string{"get", "put", "delete", "cas", "add", "batch", "scan"}
+const nDataOps = int(kvproto.OpScan-kvproto.OpGet) + 1
 
 // txTraceDefaultEvery is the default flight-recorder sampling rate (one
 // atomic block in N); txTraceCap the retained event window.
@@ -57,7 +47,7 @@ type metrics struct {
 	// histogram the tuning runtime differences per period; req splits
 	// the same observations by surface and op for exposition.
 	reqAll *obs.Histogram
-	req    [nSurfaces][nReqOps]*obs.Histogram
+	req    [nSurfaces][nDataOps]*obs.Histogram
 
 	admWaitNs   *obs.Histogram
 	walFlushNs  *obs.Histogram
@@ -144,11 +134,11 @@ func newMetrics(s *Server) *metrics {
 
 	// --- Requests ---
 	for surf := 0; surf < nSurfaces; surf++ {
-		for op := 0; op < nReqOps; op++ {
-			m.req[surf][op] = obs.NewHistogram()
+		for op := kvproto.OpGet; op <= kvproto.OpScan; op++ {
+			h := obs.NewHistogram()
+			m.req[surf][op-kvproto.OpGet] = h
 			m.reg.Histogram("stmkvd_request_seconds", "Data-request latency by surface and op.",
-				obs.Labels{"surface": surfaceNames[surf], "op": reqOpNames[op]},
-				m.req[surf][op], 1e-9, lat)
+				obs.Labels{"surface": surfaceNames[surf], "op": op.String()}, h, 1e-9, lat)
 		}
 	}
 
@@ -274,37 +264,6 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.proto.badFrames.Load()) })
 
 	return m
-}
-
-// timed wraps an HTTP data handler with request-latency recording.
-func (s *Server) timed(op int, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		d := uint64(time.Since(t0))
-		s.met.reqAll.Record(d)
-		s.met.req[surfHTTP][op].Record(d)
-	}
-}
-
-// protoReqOp maps a wire op to its request-latency op index.
-func protoReqOp(op kvproto.Op) int {
-	switch op {
-	case kvproto.OpGet:
-		return mopGet
-	case kvproto.OpPut:
-		return mopPut
-	case kvproto.OpDelete:
-		return mopDelete
-	case kvproto.OpCAS:
-		return mopCAS
-	case kvproto.OpAdd:
-		return mopAdd
-	case kvproto.OpBatch:
-		return mopBatch
-	default:
-		return mopScan
-	}
 }
 
 // Metrics exposes the server's registry (tests; embedding servers).

@@ -311,3 +311,50 @@ func TestProtoClientRedial(t *testing.T) {
 		t.Fatalf("post-redial Get = (%d, %v, %v), want (50, true)", val, found, err)
 	}
 }
+
+// BenchmarkProtoPipelined measures pipelined Get and Put round trips over
+// one binary connection. allocs/op counts both ends (client and server
+// run in this process), so compare it between revisions, not to zero.
+func BenchmarkProtoPipelined(b *testing.B) {
+	for _, op := range []string{"get", "put"} {
+		b.Run(op, func(b *testing.B) {
+			srv, err := New(Config{SpaceWords: 1 << 18})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer lis.Close()
+			go srv.ServeProto(lis)
+			c := kvclient.New(lis.Addr().String(), kvclient.Options{})
+			defer c.Close()
+			for k := uint64(0); k < 1024; k++ {
+				if _, err := c.Put(k, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.SetParallelism(16)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				var k uint64
+				var err error
+				for pb.Next() {
+					k = (k + 1) & 1023
+					if op == "get" {
+						_, _, err = c.Get(k)
+					} else {
+						_, err = c.Put(k, k)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // The server half of the resilience stack: end-to-end deadline
-// enforcement and brownout load shedding, shared by both request
-// surfaces.
+// enforcement and brownout load shedding, which exec applies to both
+// request surfaces.
 //
 // Deadlines travel as RELATIVE budgets (the X-Timeout-Ms header on HTTP,
 // the flagged TimeoutMs field on the wire protocol) and are re-anchored
@@ -22,12 +22,9 @@
 package kvserver
 
 import (
-	"context"
-	"net/http"
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/kvproto"
 	"tinystm/internal/resilience"
 )
 
@@ -55,49 +52,23 @@ type shedStats struct {
 	brownout [resilience.NumClasses]atomic.Uint64
 }
 
-// deadlineKey carries a request's absolute deadline in its context.
-type deadlineKey struct{}
-
-// httpDeadline parses the X-Timeout-Ms header into an absolute deadline
-// (zero: none). The error is a client error (400).
-func httpDeadline(r *http.Request) (time.Time, error) {
-	d, err := resilience.ParseTimeout(r.Header.Get(resilience.TimeoutHeader))
-	if err != nil || d == 0 {
-		return time.Time{}, err
-	}
-	return time.Now().Add(d), nil
-}
-
-// withDeadline stashes a non-zero deadline on the request context.
-func withDeadline(r *http.Request, dl time.Time) *http.Request {
-	if dl.IsZero() {
-		return r
-	}
-	return r.WithContext(context.WithValue(r.Context(), deadlineKey{}, dl))
-}
-
-// deadlineOf recovers the request's absolute deadline (zero: none).
-func deadlineOf(r *http.Request) time.Time {
-	dl, _ := r.Context().Value(deadlineKey{}).(time.Time)
-	return dl
-}
-
 // expired reports whether a non-zero deadline has passed.
 func expired(dl time.Time) bool {
 	return !dl.IsZero() && !time.Now().Before(dl)
 }
 
-// shedDeadlineHTTP counts one HTTP deadline shed and answers 504: the
-// client's budget for this request is spent, so the answer documents
-// that the server refused the work rather than timing out silently.
-func (s *Server) shedDeadlineHTTP(w http.ResponseWriter, stage int) {
-	s.shed.deadline[surfHTTP][stage].Add(1)
-	http.Error(w, "deadline exceeded before execution ("+shedStageNames[stage]+")", http.StatusGatewayTimeout)
+// shedDeadline counts one deadline shed on surface surf at stage and
+// returns the refusal message: the client's budget is spent, so the
+// answer documents that the server refused the work rather than timing
+// out silently.
+func (s *Server) shedDeadline(surf, stage int) string {
+	s.shed.deadline[surf][stage].Add(1)
+	return "deadline exceeded before execution (" + shedStageNames[stage] + ")"
 }
 
-// enterUpdateUntil is enterUpdate with the request's deadline applied at
-// the gate: it claims an update slot or reports that the budget ran out
-// first (the caller then sheds). A zero deadline never sheds.
+// enterUpdateUntil claims an update-admission slot under the request's
+// deadline, or reports that the budget ran out first (the caller then
+// sheds). A zero deadline never sheds; a nil gate admits freely.
 func (s *Server) enterUpdateUntil(dl time.Time) (release func(), ok bool) {
 	if s.gate == nil {
 		if expired(dl) {
@@ -111,33 +82,6 @@ func (s *Server) enterUpdateUntil(dl time.Time) (release func(), ok bool) {
 	}
 	s.met.admWaitNs.Record(uint64(time.Since(t0)))
 	return s.gate.Exit, true
-}
-
-// classifyHTTP maps a data request onto a brownout class: /scan is the
-// expensive full-table walk, other GETs are reads, everything else —
-// including POST /batch, whose cost is write-like even when its ops are
-// all Gets — mutates.
-func classifyHTTP(r *http.Request) resilience.Class {
-	if r.URL.Path == "/scan" {
-		return resilience.ClassScan
-	}
-	if r.Method == http.MethodGet {
-		return resilience.ClassRead
-	}
-	return resilience.ClassWrite
-}
-
-// classifyProtoOp maps a wire op onto a brownout class (same ladder as
-// HTTP; Batch counts as a write for the same reason POST /batch does).
-func classifyProtoOp(op kvproto.Op) resilience.Class {
-	switch op {
-	case kvproto.OpGet:
-		return resilience.ClassRead
-	case kvproto.OpScan:
-		return resilience.ClassScan
-	default:
-		return resilience.ClassWrite
-	}
 }
 
 // brownSheds reports whether the current brownout level sheds class c,

@@ -114,22 +114,20 @@ func TestHTTPDeadlineShedAtGate(t *testing.T) {
 }
 
 // TestHTTPDeadlineShedAtOp drives the op-stage checks directly with an
-// already-expired deadline: scans and batches must refuse to start.
+// already-expired deadline (the wire cannot carry one: budgets re-anchor
+// at arrival): scans and batches must refuse to start.
 func TestHTTPDeadlineShedAtOp(t *testing.T) {
 	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16})
 	past := time.Now().Add(-time.Millisecond)
 
-	r := withDeadline(httptest.NewRequest("GET", "/scan", nil), past)
 	w := httptest.NewRecorder()
-	s.handleScan(w, r)
+	s.answerHTTP(w, &kvproto.Request{Op: kvproto.OpScan}, past)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired scan answered %d, want 504", w.Code)
 	}
 
-	r = withDeadline(httptest.NewRequest("POST", "/batch",
-		strings.NewReader(`{"ops":[{"op":"get","key":1}]}`)), past)
 	w = httptest.NewRecorder()
-	s.handleBatch(w, r)
+	s.answerHTTP(w, &kvproto.Request{Op: kvproto.OpBatch, Ops: []kvproto.BatchOp{{Op: kvproto.OpGet, Key: 1}}}, past)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired batch answered %d, want 504", w.Code)
 	}

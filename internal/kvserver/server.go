@@ -1,22 +1,43 @@
-// Package kvserver is the HTTP face of the STM-backed key-value store:
-// the handler set cmd/stmkvd serves. Every request runs one (or, for
-// batches, exactly one multi-key) transaction against a kvstore.Store,
-// descriptors are borrowed from the store's pool per request, and an
-// attached tuning.Runtime re-adapts the TM's lock-table geometry to the
-// live traffic while the server runs.
+// Package kvserver is stmkvd's request layer over the STM-backed
+// key-value store. Every data request runs one (or, for batches, exactly
+// one multi-key) transaction against a kvstore.Store, descriptors are
+// borrowed from the store's pool per request, and an attached
+// tuning.Runtime re-adapts the TM's lock-table geometry to the live
+// traffic while the server runs.
 //
-// Endpoints:
+// Two surfaces, HTTP/JSON (Handler) and the binary kvproto protocol
+// (ServeProto), are thin codecs over one executor. Each decodes its wire
+// form into a kvproto.Request and an absolute deadline, calls exec, and
+// encodes the response. exec alone runs the brownout ladder, the
+// lifecycle gate, the deadline checks, update admission and the store,
+// and records the request-latency histograms. It reports failures as a
+// cause, which each surface maps to its own status through one table:
+//
+//	cause         HTTP                  binary
+//	not found     404 (Get, Delete)     OK, Found=false
+//	bad request   400 (empty batch)     StatusError
+//	unavailable   503 + Retry-After     StatusUnavailable   (lifecycle, brownout, failed durability wait)
+//	deadline      504                   StatusDeadlineExceeded
+//	exhausted     507                   StatusError         (arena full)
+//
+// A malformed HTTP request (bad key, body, limit or X-Timeout-Ms) is
+// answered 400 by the codec, an oversized batch 413, before any gate; the
+// binary codec likewise drops an undecodable frame's connection.
+//
+// HTTP endpoints:
 //
 //	GET    /kv/{key}          read one key            -> {"key":k,"val":v}
 //	PUT    /kv/{key}          upsert (body: decimal)  -> {"inserted":bool}
 //	DELETE /kv/{key}          remove                  -> {"deleted":true}
-//	POST   /kv/{key}/cas      body {"old":o,"new":n}  -> {"ok":bool,...}
+//	POST   /kv/{key}/cas      body {"old":o,"new":n}  -> {"ok":bool}
 //	POST   /kv/{key}/add      body {"delta":d}        -> {"val":new}
 //	POST   /batch             body {"ops":[...]}      -> {"results":[...]}
 //	GET    /scan              full-table scan (one snapshot transaction)
 //	                          ?limit=N caps pairs     -> {"keys":n,"pairs":[...]}
 //	GET    /stats             TM counters + store size + durability state
 //	GET    /tuning            live autotune trace
+//	GET    /metrics           Prometheus exposition
+//	GET    /debug/txtrace     transaction flight recorder
 //	GET    /healthz           liveness (always 200 while the process runs)
 //	GET    /readyz            readiness: 503 + Retry-After during WAL
 //	                          replay, degraded read-only mode, or after a
@@ -31,6 +52,7 @@ package kvserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/bits"
 	"net/http"
@@ -40,6 +62,7 @@ import (
 	"tinystm/internal/admission"
 	"tinystm/internal/cm"
 	"tinystm/internal/core"
+	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
 	"tinystm/internal/mem"
 	"tinystm/internal/resilience"
@@ -315,81 +338,18 @@ func (s *Server) Close() {
 	s.store.Close()
 }
 
-// Handler returns the root handler: a lifecycle gate in front of the
-// route mux, wrapped in a recover layer that converts arena exhaustion
-// into 507 and a failed durability wait into 503 instead of tearing down
-// the connection's goroutine. Any other panic is a real bug and is
-// re-raised for net/http's connection-level recovery to log.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		dl, err := httpDeadline(r)
-		if err != nil {
-			http.Error(w, "bad "+resilience.TimeoutHeader+": "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		r = withDeadline(r, dl)
-		if !s.admit(w, r) {
-			return
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == core.ErrSpaceExhausted {
-					http.Error(w, core.ErrSpaceExhausted.Error(), http.StatusInsufficientStorage)
-					return
-				}
-				if derr, ok := rec.(*kvstore.DurabilityError); ok {
-					// The commit exists in memory but its log records
-					// never reached disk: refuse the ack. The WAL's
-					// OnError has already flipped the server degraded,
-					// so this is a retry-later, like every other 503.
-					s.unavailable(w, derr.Error())
-					return
-				}
-				panic(rec)
-			}
-		}()
-		s.mux.ServeHTTP(w, r)
-	})
-}
+// Handler returns the HTTP surface: the data routes, each a codec over
+// exec, and the observability routes, which answer in every lifecycle
+// and brownout state.
+func (s *Server) Handler() http.Handler { return s.mux }
 
-// admit applies the lifecycle gate. Health, readiness and observability
-// endpoints always answer; everything else requires a ready server —
-// except in degraded mode, where reads still serve (committed memory is
-// intact) and only mutations are refused.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	switch r.URL.Path {
-	case "/healthz", "/readyz", "/stats", "/tuning", "/metrics", "/debug/txtrace":
-		return true
+// httpError answers a non-200 status; every 503 carries a Retry-After
+// hint so pollers and load balancers back off politely.
+func httpError(w http.ResponseWriter, msg string, code int) {
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
 	}
-	// Brownout sheds whole request classes at the door, before any
-	// transaction runs or gate slot is waited on: refusal is the point.
-	if class := classifyHTTP(r); s.brownSheds(class) {
-		s.unavailable(w, brownoutMsg(class))
-		return false
-	}
-	switch s.dur.state.Load() {
-	case stateReady:
-		return true
-	case stateDegraded:
-		if r.Method == http.MethodGet {
-			return true
-		}
-		s.unavailable(w, "degraded: write-ahead log failed; serving reads only")
-		return false
-	case stateFailed:
-		s.unavailable(w, "recovery failed; see /stats")
-		return false
-	default: // stateStarting
-		s.unavailable(w, "recovering write-ahead log")
-		return false
-	}
-}
-
-// unavailable answers 503 with a Retry-After hint so pollers and load
-// balancers back off politely.
-func (s *Server) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, msg, http.StatusServiceUnavailable)
+	http.Error(w, msg, code)
 }
 
 func (s *Server) routes() {
@@ -402,46 +362,22 @@ func (s *Server) routes() {
 	})
 	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if st := s.dur.state.Load(); st != stateReady {
-			s.unavailable(w, stateName(st))
+			httpError(w, stateName(st), http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	s.mux.HandleFunc("GET /kv/{key}", s.timed(mopGet, s.handleGet))
-	s.mux.HandleFunc("PUT /kv/{key}", s.timed(mopPut, s.handlePut))
-	s.mux.HandleFunc("DELETE /kv/{key}", s.timed(mopDelete, s.handleDelete))
-	s.mux.HandleFunc("POST /kv/{key}/cas", s.timed(mopCAS, s.handleCAS))
-	s.mux.HandleFunc("POST /kv/{key}/add", s.timed(mopAdd, s.handleAdd))
-	s.mux.HandleFunc("POST /batch", s.timed(mopBatch, s.handleBatch))
-	s.mux.HandleFunc("GET /scan", s.timed(mopScan, s.handleScan))
+	s.mux.HandleFunc("GET /kv/{key}", s.serveHTTP(kvproto.OpGet))
+	s.mux.HandleFunc("PUT /kv/{key}", s.serveHTTP(kvproto.OpPut))
+	s.mux.HandleFunc("DELETE /kv/{key}", s.serveHTTP(kvproto.OpDelete))
+	s.mux.HandleFunc("POST /kv/{key}/cas", s.serveHTTP(kvproto.OpCAS))
+	s.mux.HandleFunc("POST /kv/{key}/add", s.serveHTTP(kvproto.OpAdd))
+	s.mux.HandleFunc("POST /batch", s.serveHTTP(kvproto.OpBatch))
+	s.mux.HandleFunc("GET /scan", s.serveHTTP(kvproto.OpScan))
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /tuning", s.handleTuning)
 	s.mux.Handle("GET /metrics", s.met.reg.Handler())
 	s.mux.HandleFunc("GET /debug/txtrace", s.handleTxTrace)
-}
-
-// enterUpdate claims an update-admission slot (blocking at the door when
-// the gate is full) and returns the release. A nil gate admits freely.
-// Both surfaces — the HTTP handlers and the binary-protocol executor —
-// pass every update transaction through here, so the tuned width governs
-// the whole server.
-func (s *Server) enterUpdate() func() {
-	if s.gate == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	s.gate.Enter()
-	s.met.admWaitNs.Record(uint64(time.Since(t0)))
-	return s.gate.Exit
-}
-
-func pathKey(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	k, err := strconv.ParseUint(r.PathValue("key"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad key: "+err.Error(), http.StatusBadRequest)
-		return 0, false
-	}
-	return k, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -450,95 +386,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
+// serveHTTP is the HTTP codec of one data op: decode, exec, encode. A
+// malformed request is answered here (400, or 413 for an oversized
+// batch) and never reaches exec.
+func (s *Server) serveHTTP(op kvproto.Op) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := &kvproto.Request{Op: op}
+		dl, err := decodeHTTP(r, req)
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.Is(err, errBatchTooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
+			return
+		}
+		s.answerHTTP(w, req, dl)
 	}
-	val, found := s.store.Get(key)
-	if !found {
-		http.Error(w, "key not found", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"key": key, "val": val})
-}
-
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	var val uint64
-	if _, err := fmt.Fscan(r.Body, &val); err != nil {
-		http.Error(w, "bad value (want a decimal uint64 body): "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	inserted := s.store.Put(key, val)
-	writeJSON(w, http.StatusOK, map[string]bool{"inserted": inserted})
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	if !s.store.Delete(key) {
-		http.Error(w, "key not found", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
-}
-
-func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	var req struct{ Old, New uint64 }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	swapped := s.store.CAS(key, req.Old, req.New)
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": swapped})
-}
-
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	var req struct{ Delta uint64 }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	val := s.store.Add(key, req.Delta)
-	writeJSON(w, http.StatusOK, map[string]uint64{"val": val})
 }
 
 // wireOp is the JSON form of one batch operation.
@@ -549,109 +413,104 @@ type wireOp struct {
 	Old uint64 `json:"old,omitempty"`
 }
 
-// wireResult is the JSON form of one batch result.
-type wireResult struct {
-	Val   uint64 `json:"val"`
-	Found bool   `json:"found"`
-	OK    bool   `json:"ok"`
+var errBatchTooLarge = fmt.Errorf("batch exceeds %d ops", kvproto.MaxBatchOps)
+
+// decodeHTTP fills req (whose Op the route chose) from r and returns the
+// absolute deadline of its X-Timeout-Ms budget (zero: none).
+func decodeHTTP(r *http.Request, req *kvproto.Request) (dl time.Time, err error) {
+	d, err := resilience.ParseTimeout(r.Header.Get(resilience.TimeoutHeader))
+	if err != nil {
+		return dl, fmt.Errorf("bad %s: %w", resilience.TimeoutHeader, err)
+	}
+	if d > 0 {
+		dl = time.Now().Add(d)
+	}
+	if req.Op <= kvproto.OpAdd { // the /kv/{key} routes
+		if req.Key, err = strconv.ParseUint(r.PathValue("key"), 10, 64); err != nil {
+			return dl, fmt.Errorf("bad key: %w", err)
+		}
+	}
+	switch req.Op {
+	case kvproto.OpPut:
+		var val uint64 // scanned into a local: &req.Val would move req to the heap
+		if _, err := fmt.Fscan(r.Body, &val); err != nil {
+			return dl, fmt.Errorf("bad value (want a decimal uint64 body): %w", err)
+		}
+		req.Val = val
+	case kvproto.OpCAS:
+		var body struct{ Old, New uint64 }
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			return dl, fmt.Errorf("bad body: %w", err)
+		}
+		req.Old, req.Val = body.Old, body.New
+	case kvproto.OpAdd:
+		var body struct{ Delta uint64 }
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			return dl, fmt.Errorf("bad body: %w", err)
+		}
+		req.Val = body.Delta
+	case kvproto.OpBatch:
+		var body struct {
+			Ops []wireOp `json:"ops"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			return dl, fmt.Errorf("bad body: %w", err)
+		}
+		if len(body.Ops) > kvproto.MaxBatchOps {
+			return dl, errBatchTooLarge
+		}
+		req.Ops = make([]kvproto.BatchOp, len(body.Ops))
+		for i, o := range body.Ops {
+			kind, err := kvstore.ParseOpKind(o.Op)
+			if err != nil {
+				return dl, err
+			}
+			// The sub-op codes OpGet..OpAdd list the store's op kinds in order.
+			req.Ops[i] = kvproto.BatchOp{Op: kvproto.OpGet + kvproto.Op(kind), Key: o.Key, Val: o.Val, Old: o.Old}
+		}
+	case kvproto.OpScan:
+		if q := r.URL.Query().Get("limit"); q != "" {
+			n, err := strconv.Atoi(q)
+			if err != nil || n < 1 {
+				return dl, errors.New("bad limit")
+			}
+			req.Limit = uint32(min(n, kvproto.MaxScanPairs))
+		}
+	}
+	return dl, nil
 }
 
-// maxBatchOps bounds a single atomic batch: a giant batch is a giant
-// transaction, and past a point it would conflict with everything and
-// starve (the same reason the resize transaction is per-shard).
-const maxBatchOps = 1024
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Ops []wireOp `json:"ops"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+// answerHTTP runs req through exec and writes the answer: the cause's
+// status from the causes table with exec's message, or 200 with the op's
+// JSON body.
+func (s *Server) answerHTTP(w http.ResponseWriter, req *kvproto.Request, dl time.Time) {
+	resp, c := s.exec(req, dl, surfHTTP)
+	if c != causeOK {
+		httpError(w, resp.Msg, causes[c].http)
 		return
 	}
-	if len(req.Ops) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	if len(req.Ops) > maxBatchOps {
-		http.Error(w, fmt.Sprintf("batch exceeds %d ops", maxBatchOps), http.StatusRequestEntityTooLarge)
-		return
-	}
-	ops := make([]kvstore.Op, len(req.Ops))
-	for i, o := range req.Ops {
-		kind, err := kvstore.ParseOpKind(o.Op)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	var body any
+	switch req.Op {
+	case kvproto.OpGet:
+		body = map[string]uint64{"key": req.Key, "val": resp.Val}
+	case kvproto.OpPut:
+		body = map[string]bool{"inserted": resp.OK}
+	case kvproto.OpDelete:
+		body = map[string]bool{"deleted": true}
+	case kvproto.OpCAS:
+		body = map[string]bool{"ok": resp.OK}
+	case kvproto.OpAdd:
+		body = map[string]uint64{"val": resp.Val}
+	case kvproto.OpBatch:
+		body = map[string]any{"results": resp.Results}
+	case kvproto.OpScan:
+		pairs := resp.Pairs
+		if pairs == nil {
+			pairs = []kvproto.KV{}
 		}
-		ops[i] = kvstore.Op{Kind: kind, Key: o.Key, Val: o.Val, Old: o.Old}
+		body = map[string]any{"keys": resp.Total, "pairs": pairs, "snapshot": resp.Snapshot}
 	}
-	// A batch is one multi-key transaction: check the budget right before
-	// the expensive part, then again (for updates) at the gate.
-	dl := deadlineOf(r)
-	if expired(dl) {
-		s.shedDeadlineHTTP(w, shedStageOp)
-		return
-	}
-	if !readOnlyOps(ops) {
-		release, ok := s.enterUpdateUntil(dl)
-		if !ok {
-			s.shedDeadlineHTTP(w, shedStageGate)
-			return
-		}
-		defer release()
-	}
-	res := s.store.Apply(ops)
-	out := make([]wireResult, len(res))
-	for i, r := range res {
-		out[i] = wireResult{Val: r.Val, Found: r.Found, OK: r.OK}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-}
-
-// readOnlyOps reports whether a batch is all Gets (and therefore runs as
-// an ungated snapshot read, exactly like Apply's own read-only path).
-func readOnlyOps(ops []kvstore.Op) bool {
-	for _, op := range ops {
-		if op.Kind != kvstore.OpGet {
-			return false
-		}
-	}
-	return true
-}
-
-// maxScanPairs bounds one /scan response's pair list; ?limit=N requests
-// fewer. The walk itself always covers the whole table (the "keys" count
-// is exact) — only the returned pairs are capped.
-const maxScanPairs = 4096
-
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	limit := maxScanPairs
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	// The full-table walk is the server's most expensive read: a request
-	// whose budget already ran out must not start it.
-	if expired(deadlineOf(r)) {
-		s.shedDeadlineHTTP(w, shedStageOp)
-		return
-	}
-	pairs, total := s.store.Scan(limit)
-	if pairs == nil {
-		pairs = []kvstore.KV{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"keys":     total,
-		"pairs":    pairs,
-		"snapshot": s.tm.SnapshotsEnabled(),
-	})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // wireParams is the JSON form of a tunable triple.

@@ -15,6 +15,7 @@ import (
 
 	"tinystm/internal/cm"
 	"tinystm/internal/core"
+	"tinystm/internal/kvproto"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -231,7 +232,7 @@ func TestBatchTooLargeRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8})
 	var buf bytes.Buffer
 	buf.WriteString(`{"ops":[`)
-	for i := 0; i <= maxBatchOps; i++ {
+	for i := 0; i <= kvproto.MaxBatchOps; i++ {
 		if i > 0 {
 			buf.WriteString(",")
 		}

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
+// testWords is the arena size newTestStore's sidecar covers.
+const testWords = 1 << 16
+
 // newTestStore builds a store and registers one far-past snapshot reader
 // in slot 0 so publications are retained (with no registered snapshot the
 // store intentionally skips version retention). Tests that need precise
 // pinning behavior manage the registry themselves.
 func newTestStore(t *testing.T, shards, budget int) *Store {
 	t.Helper()
-	s := New(Config{Words: 1 << 16, Shards: shards, Budget: budget})
+	s := New(Config{Words: testWords, Shards: shards, Budget: budget})
 	s.EnsureSlots(2)
 	s.Enter(1, 1<<40) // far-future reader: retains without pinning
 	return s
@@ -220,7 +223,13 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestConcurrentPublishRead races publishers against a reader on the
+// same shards. It is bounded by work on both sides: each writer stops
+// after publishesPerWriter versions (or when the reader is done), so a
+// reader starved of its shard locks on a small host cannot stretch the
+// test.
 func TestConcurrentPublishRead(t *testing.T) {
+	const publishesPerWriter = 1 << 16
 	s := newTestStore(t, 4, 128)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -228,15 +237,16 @@ func TestConcurrentPublishRead(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ts := uint64(2)
-			for {
+			for ts := uint64(2); ts < 2+publishesPerWriter; ts++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				s.Publish(ts, []Version{{Stripe: uint64(w), Addr: uint64(w)*1000 + ts, Val: ts, From: ts - 1}})
-				ts++
+				// Publish requires Addr < Words: the addresses wrap around
+				// the arena, so writers also collide with each other.
+				addr := (uint64(w)*1000 + ts) % testWords
+				s.Publish(ts, []Version{{Stripe: uint64(w), Addr: addr, Val: ts, From: ts - 1}})
 			}
 		}(w)
 	}
