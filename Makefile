@@ -24,7 +24,7 @@ lint-negative:
 race:
 	./scripts/race.sh
 
+# bench runs the exact script CI's bench job runs: every suite repeated
+# five times, the pipelined binary-protocol round trip included.
 bench:
-	$(GO) test -bench=. -benchtime=1x -count=1 -run '^$$' \
-		./internal/microbench ./internal/core ./internal/tl2 \
-		./internal/kvproto .
+	./scripts/bench.sh

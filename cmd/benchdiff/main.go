@@ -7,16 +7,19 @@
 //
 // The comparison is per benchmark name over a single metric (default
 // ns/op, where bigger is worse; pass -higher-is-better for rate metrics
-// like txs/s). Benchmarks present in only one artifact are reported and
-// skipped. -filter restricts the gate to a name subset — CI gates on the
-// core/microbench suites, whose single-threaded constant factors are the
-// most stable signal a 1-iteration CI run produces.
+// like txs/s). A benchmark run with -count N appears N times in an
+// artifact; benchdiff compares the MEDIAN of those repeats and prints
+// their spread (± half the range, relative to the median) next to it, so
+// a delta can be read against the run-to-run noise of both sides.
+// Benchmarks present in only one artifact are reported and skipped.
+// -filter restricts the gate to a name subset — CI gates on the
+// core/microbench suites.
 //
-// CI-scale caveat: the artifacts come from -benchtime=1x runs, which are
-// noisy; the default threshold is therefore deliberately loose (a real
-// 20% regression in a constant factor is far outside run-to-run jitter
-// for the microbenchmarks, but sub-10% differences are not resolvable).
-// For a precise answer, regenerate with benchstat:
+// CI-scale caveat: most suites run -benchtime=1x (one iteration per
+// repeat; the figure reproductions are seconds each), so the default
+// threshold stays loose: a real 20% regression in a constant factor is
+// far outside the jitter of a median of 5, but sub-10% differences are
+// not resolvable. For a precise answer, regenerate with benchstat:
 //
 //	jq -r '.raw[]' old.json > old.txt; jq -r '.raw[]' new.json > new.txt
 //	benchstat old.txt new.txt
@@ -34,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"regexp"
@@ -68,24 +72,43 @@ func loadArtifact(path string) (Artifact, error) {
 	return a, nil
 }
 
-// metricsByName indexes an artifact's chosen metric; duplicate names
-// (e.g. -count > 1) keep the best (smallest for costs, largest for
-// rates) measurement, mirroring the repository's max-of-N convention.
-func metricsByName(a Artifact, metric string, higherIsBetter bool) map[string]float64 {
-	out := make(map[string]float64, len(a.Results))
+// summary is one benchmark's metric over its repeats.
+type summary struct {
+	median, spread float64 // spread: half the range over the median, 0 for one run
+	n              int
+}
+
+// metricsByName summarizes an artifact's chosen metric per benchmark
+// name: the median over the name's repeats (-count N) and their spread.
+func metricsByName(a Artifact, metric string) map[string]summary {
+	vals := make(map[string][]float64, len(a.Results))
 	for _, b := range a.Results {
-		v, ok := b.Metrics[metric]
-		if !ok {
-			continue
+		if v, ok := b.Metrics[metric]; ok {
+			vals[b.Name] = append(vals[b.Name], v)
 		}
-		if cur, seen := out[b.Name]; seen {
-			if higherIsBetter == (v < cur) {
-				continue
-			}
+	}
+	out := make(map[string]summary, len(vals))
+	for name, vs := range vals {
+		sort.Float64s(vs)
+		n := len(vs)
+		s := summary{median: vs[n/2], n: n}
+		if n%2 == 0 {
+			s.median = (vs[n/2-1] + vs[n/2]) / 2
 		}
-		out[b.Name] = v
+		if s.median != 0 {
+			s.spread = (vs[n-1] - vs[0]) / 2 / s.median
+		}
+		out[name] = s
 	}
 	return out
+}
+
+// String renders the median and, over repeats, the spread.
+func (s summary) String() string {
+	if s.n < 2 {
+		return fmt.Sprintf("%.1f", s.median)
+	}
+	return fmt.Sprintf("%.1f ±%.0f%%", s.median, s.spread*100)
 }
 
 func main() {
@@ -134,12 +157,12 @@ func main() {
 	}
 }
 
-// compare prints the per-benchmark delta table and returns the gated
-// names whose metric worsened past the threshold.
-func compare(w *os.File, oldArt, newArt Artifact, metric string, threshold float64,
+// compare prints the per-benchmark delta table of medians and returns
+// the gated names whose median worsened past the threshold.
+func compare(w io.Writer, oldArt, newArt Artifact, metric string, threshold float64,
 	higherIsBetter bool, gate *regexp.Regexp) []string {
-	oldM := metricsByName(oldArt, metric, higherIsBetter)
-	newM := metricsByName(newArt, metric, higherIsBetter)
+	oldM := metricsByName(oldArt, metric)
+	newM := metricsByName(newArt, metric)
 
 	names := make([]string, 0, len(oldM))
 	for name := range oldM {
@@ -147,19 +170,19 @@ func compare(w *os.File, oldArt, newArt Artifact, metric string, threshold float
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "benchdiff %s -> %s (%s, threshold %.0f%%)\n",
+	fmt.Fprintf(w, "benchdiff %s -> %s (%s median over repeats ±half their range, threshold %.0f%%)\n",
 		short(oldArt.SHA), short(newArt.SHA), metric, threshold)
 	var regressed []string
 	for _, name := range names {
 		ov := oldM[name]
 		nv, ok := newM[name]
 		if !ok {
-			fmt.Fprintf(w, "  %-50s %12.1f -> (removed)\n", name, ov)
+			fmt.Fprintf(w, "  %-50s %18s -> (removed)\n", name, ov)
 			continue
 		}
 		deltaPct := 0.0
-		if ov != 0 {
-			deltaPct = (nv - ov) / ov * 100
+		if ov.median != 0 {
+			deltaPct = (nv.median - ov.median) / ov.median * 100
 		}
 		worse := deltaPct
 		if higherIsBetter {
@@ -175,11 +198,11 @@ func compare(w *os.File, oldArt, newArt Artifact, metric string, threshold float
 				mark = "~" // over threshold but not gated
 			}
 		}
-		fmt.Fprintf(w, "%s %-50s %12.1f -> %-12.1f %+7.1f%%\n", mark, name, ov, nv, deltaPct)
+		fmt.Fprintf(w, "%s %-50s %18s -> %-18s %+7.1f%%\n", mark, name, ov, nv, deltaPct)
 	}
-	for name := range newM {
+	for name, nv := range newM {
 		if _, ok := oldM[name]; !ok {
-			fmt.Fprintf(w, "  %-50s (new) -> %.1f\n", name, newM[name])
+			fmt.Fprintf(w, "  %-50s (new) -> %s\n", name, nv)
 		}
 	}
 	return regressed

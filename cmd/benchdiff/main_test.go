@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -69,15 +70,51 @@ func TestLoadArtifactErrors(t *testing.T) {
 	}
 }
 
-func TestMetricsByNameKeepsBest(t *testing.T) {
+func TestMetricsByNameTakesMedian(t *testing.T) {
 	a := Artifact{Results: []Benchmark{
 		{Name: "B", Metrics: map[string]float64{"ns/op": 120}},
 		{Name: "B", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 320}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 110}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "C", Metrics: map[string]float64{"ns/op": 10}},
+		{Name: "C", Metrics: map[string]float64{"ns/op": 20}},
 	}}
-	if got := metricsByName(a, "ns/op", false)["B"]; got != 100 {
-		t.Fatalf("cost metric kept %v, want the smaller 100", got)
+	m := metricsByName(a, "ns/op")
+	// B's median of five ignores the 320 outlier; its spread, half the
+	// range over the median, does not.
+	if got := m["B"]; got.median != 110 || got.n != 5 || got.spread != 1 {
+		t.Fatalf("B = %+v, want median 110 over 5 runs with spread 1", got)
 	}
-	if got := metricsByName(a, "ns/op", true)["B"]; got != 120 {
-		t.Fatalf("rate metric kept %v, want the larger 120", got)
+	if got := m["B"].String(); got != "110.0 ±100%" {
+		t.Fatalf("B renders as %q", got)
+	}
+	// An even count averages the middle two.
+	if got := m["C"].median; got != 15 {
+		t.Fatalf("C median = %v, want 15", got)
+	}
+}
+
+// TestCompareGatesOnMedian checks that one slow repeat does not fail the
+// gate when the median held, that a moved median does, and that the
+// table prints each side's spread.
+func TestCompareGatesOnMedian(t *testing.T) {
+	runs := func(sha string, vals ...float64) Artifact {
+		a := Artifact{SHA: sha}
+		for _, v := range vals {
+			a.Results = append(a.Results, Benchmark{Name: "BenchmarkP-2", Metrics: map[string]float64{"ns/op": v}})
+		}
+		return a
+	}
+	base := runs("aaa", 100, 102, 98, 101, 99)
+	var out strings.Builder
+	if reg := compare(&out, base, runs("bbb", 100, 250, 99, 101, 102), "ns/op", 20, false, nil); len(reg) != 0 {
+		t.Fatalf("one outlier repeat gated: %v\n%s", reg, out.String())
+	}
+	if !strings.Contains(out.String(), "100.0 ±2%") || !strings.Contains(out.String(), "101.0 ±75%") {
+		t.Fatalf("table lacks the medians and spreads:\n%s", out.String())
+	}
+	if reg := compare(&out, base, runs("ccc", 130, 131, 129, 250, 128), "ns/op", 20, false, nil); len(reg) != 1 {
+		t.Fatalf("median +30%% not gated: %v\n%s", reg, out.String())
 	}
 }

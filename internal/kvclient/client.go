@@ -6,7 +6,10 @@
 // matched by id as they complete out of order. This is what makes the
 // binary surface measure the STM instead of connection handling: no
 // per-request dial, no per-request goroutine on the server's HTTP mux,
-// no JSON.
+// no JSON. Each call encodes its request frame in place and queues it;
+// the writer flushes only when its queue stays empty after a yield, and
+// the reader drains the socket through a buffer, so a pipelined burst
+// costs one write(2) and one read(2) rather than one or two per frame.
 //
 // The client redials lazily: a broken connection fails every in-flight
 // call with ErrConn, and the next call dials fresh (one dial at a time —
@@ -130,7 +133,7 @@ type dialState struct {
 // a stale response to a new call.
 type clientConn struct {
 	c      net.Conn
-	out    chan []byte
+	out    chan *kvproto.Frame
 	dead   chan struct{} // closed by fail(); unblocks the writer and senders
 	onFail func(error)   // breaker notification hook, called once
 
@@ -236,9 +239,15 @@ func (c *Client) dial() (*clientConn, error) {
 		}
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrConn, c.addr, err)
 	}
+	return c.start(sock), nil
+}
+
+// start runs one connection generation over sock: its writer, and its
+// reader, which detaches the generation when the stream breaks.
+func (c *Client) start(sock net.Conn) *clientConn {
 	conn := &clientConn{
 		c:       sock,
-		out:     make(chan []byte, c.opts.MaxInflight),
+		out:     make(chan *kvproto.Frame, c.opts.MaxInflight),
 		dead:    make(chan struct{}),
 		pending: make(map[uint64]chan outcome),
 		onFail: func(err error) {
@@ -259,39 +268,28 @@ func (c *Client) dial() (*clientConn, error) {
 		}
 		c.mu.Unlock()
 	}()
-	return conn, nil
+	return conn
 }
 
-// writeLoop streams queued frames out, flushing only when the queue runs
-// dry: pipelined callers share flushes, a lone caller flushes at once.
+// writeLoop streams queued frames out until the connection dies. It
+// flushes only when the queue stays dry after yielding the processor
+// once (kvproto.WriteFrames): callers that are runnable get to queue
+// first, so pipelined callers share one write(2), while a lone caller is
+// flushed at once.
 func (cc *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(cc.c, 64<<10)
-	for {
-		var frame []byte
-		select {
-		case frame = <-cc.out:
-		case <-cc.dead:
-			return
-		}
-		if _, err := bw.Write(frame); err != nil {
-			cc.fail(fmt.Errorf("%w: write: %v", ErrConn, err))
-			return
-		}
-		if len(cc.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				cc.fail(fmt.Errorf("%w: flush: %v", ErrConn, err))
-				return
-			}
-		}
+	if err := kvproto.WriteFrames(cc.c, cc.out, cc.dead); err != nil {
+		cc.fail(fmt.Errorf("%w: write: %v", ErrConn, err))
 	}
 }
 
 // readLoop matches responses to waiting calls by id until the stream
-// breaks, then fails everything still pending.
+// breaks, then fails everything still pending. Frames are read through a
+// buffer, so one read(2) takes in every response already in the socket.
 func (cc *clientConn) readLoop() {
+	br := bufio.NewReaderSize(cc.c, 64<<10)
 	var buf []byte
 	for {
-		payload, err := kvproto.ReadFrame(cc.c, buf)
+		payload, err := kvproto.ReadFrame(br, buf)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: read: %v", ErrConn, err))
 			return
@@ -392,11 +390,7 @@ func (c *Client) attempt(req *kvproto.Request) (*kvproto.Response, error) {
 	req.ID = c.nextID
 	c.mu.Unlock()
 
-	payload, err := kvproto.AppendRequest(nil, req)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := kvproto.AppendFrame(nil, payload)
+	frame, err := kvproto.NewRequestFrame(req)
 	if err != nil {
 		return nil, err
 	}

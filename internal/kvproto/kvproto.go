@@ -38,6 +38,11 @@
 // Decoding arbitrary bytes must never panic: DecodeRequest and
 // DecodeResponse validate every length and bound before reading, and the
 // fuzz targets in this package enforce it.
+//
+// Streams. AppendRequestFrame and AppendResponseFrame encode a message
+// and its header in one pass into the caller's buffer. Frame and
+// WriteFrames are the connection writer that the server and the client
+// share, and ReadFrame over a bufio.Reader is the reader.
 package kvproto
 
 import (
@@ -253,22 +258,64 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	start := len(dst)
+	return sealFrame(append(openFrame(dst), payload...), start)
+}
+
+// AppendRequestFrame appends req as one whole frame to dst: the payload
+// is encoded in place behind a reserved header, which is then filled in.
+func AppendRequestFrame(dst []byte, req *Request) ([]byte, error) {
+	start := len(dst)
+	dst, err := AppendRequest(openFrame(dst), req)
+	if err != nil {
+		return dst[:start], err
+	}
+	return sealFrame(dst, start)
+}
+
+// AppendResponseFrame is AppendRequestFrame for a response.
+func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
+	start := len(dst)
+	dst, err := AppendResponse(openFrame(dst), resp)
+	if err != nil {
+		return dst[:start], err
+	}
+	return sealFrame(dst, start)
+}
+
+// openFrame reserves a frame header at the end of dst.
+func openFrame(dst []byte) []byte {
+	return append(dst, make([]byte, HeaderSize)...)
+}
+
+// sealFrame fills in the header that openFrame reserved at dst[start:]
+// for the payload appended behind it.
+func sealFrame(dst []byte, start int) ([]byte, error) {
+	payload := dst[start+HeaderSize:]
+	if len(payload) > MaxFrame {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
 // ReadFrame reads one frame from r, reusing buf when it is large enough,
 // and returns the verified payload. Any error invalidates the stream:
 // the caller must drop the connection (framing cannot resynchronize).
+// The header is read into buf too, so a reused buf makes a read
+// allocation-free. r is typically a per-connection bufio.Reader, so one
+// read(2) drains every frame already in the socket buffer.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < HeaderSize {
+		buf = make([]byte, HeaderSize, 64)
+	}
+	hdr := buf[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -282,7 +329,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(buf, castagnoli) != sum {
 		return nil, ErrChecksum
 	}
 	return buf, nil

@@ -277,7 +277,8 @@ func httpRequestFor(t *testing.T, req kvproto.Request) *http.Request {
 func runProto(t *testing.T, s *Server, req kvproto.Request, deadline func() time.Time) *kvproto.Response {
 	t.Helper()
 	if deadline != nil {
-		return s.answerProto(&req, deadline())
+		resp := s.answerProto(&req, deadline())
+		return &resp
 	}
 	cli, srv := net.Pipe()
 	defer cli.Close()

@@ -3,11 +3,18 @@
 // relative budget to an absolute deadline, and hands it to its own
 // goroutine (bounded per connection); OpStats answers from the TM
 // counters, every data op runs through exec, and exec's cause becomes
-// the response Status through the causes table. The writer streams
-// responses back in COMPLETION order, so a slow update never convoys the
-// reads pipelined behind it. Beyond exec's stages the binary surface has
-// one of its own: the dequeue deadline check, for an op that waited
-// behind a full pipeline.
+// the response Status through the causes table. The op goroutine encodes
+// its response frame itself, and the writer streams frames back in
+// COMPLETION order, so a slow update never convoys the reads pipelined
+// behind it. Beyond exec's stages the binary surface has one of its own:
+// the dequeue deadline check, for an op that waited behind a full
+// pipeline.
+//
+// Both directions batch syscalls: the reader takes frames from a
+// buffered reader, so one read(2) drains every request pipelined into the
+// socket, and the writer flushes only when its queue stays empty after a
+// yield (kvproto.WriteFrames), so the responses of a burst leave in one
+// write(2).
 package kvserver
 
 import (
@@ -55,8 +62,9 @@ func (p *protoStats) stats() map[string]any {
 }
 
 // ServeProto accepts kvproto connections on l until the listener closes.
-// Each connection gets a reader (frames in, ops dispatched) and a writer
-// (responses out, coalesced flushes); the call blocks like http.Serve.
+// Each connection gets a reader (buffered frames in, ops dispatched) and
+// a writer (response frames out, yield-then-flush); the call blocks like
+// http.Serve.
 func (s *Server) ServeProto(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -82,43 +90,32 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 	defer conn.Close()
 
 	// The writer drains out. Responses complete out of order by design;
-	// the id the client chose is its only matching key. The buffered
-	// channel lets op goroutines finish without rendezvousing with the
-	// flush, and the writer flushes only when the channel runs dry —
-	// group-flush for pipelined load, immediate for ping-pong callers.
-	out := make(chan []byte, protoInflight)
+	// the id the client chose is its only matching key. Each op goroutine
+	// encodes its own response frame and queues it on the buffered
+	// channel without rendezvousing with the writer, which copies queued
+	// frames into one buffer and flushes when the queue stays dry after a
+	// yield (kvproto.WriteFrames): one write(2) for a pipelined burst, an
+	// immediate one for a ping-pong caller.
+	out := make(chan *kvproto.Frame, protoInflight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		for payload := range out {
-			frame, err := kvproto.AppendFrame(nil, payload)
-			if err != nil {
-				continue // oversized payload is a server bug; drop the response, not the conn
-			}
-			if _, err := bw.Write(frame); err != nil {
-				// Drain without writing: the connection is gone, but op
-				// goroutines must never block on send.
-				for range out {
-				}
-				return
-			}
-			if len(out) == 0 {
-				if bw.Flush() != nil {
-					for range out {
-					}
-					return
-				}
+		if kvproto.WriteFrames(conn, out, nil) != nil {
+			// Drain without writing: the connection is gone, but op
+			// goroutines must never block on send.
+			for range out {
 			}
 		}
-		bw.Flush()
 	}()
 
 	var wg sync.WaitGroup
 	slots := make(chan struct{}, protoInflight)
+	// Frames are read through a buffer, so one read(2) takes in every
+	// request the client has pipelined into the socket so far.
+	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	for {
-		payload, err := kvproto.ReadFrame(conn, buf)
+		payload, err := kvproto.ReadFrame(br, buf)
 		if err != nil {
 			if err != io.EOF {
 				s.proto.badFrames.Add(1)
@@ -159,7 +156,8 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 				})
 				return
 			}
-			s.sendProto(out, s.answerProto(req, dl))
+			resp := s.answerProto(req, dl)
+			s.sendProto(out, &resp)
 		}(req, dl)
 	}
 	wg.Wait()
@@ -168,29 +166,29 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 }
 
 // sendProto encodes and enqueues one response.
-func (s *Server) sendProto(out chan<- []byte, resp *kvproto.Response) {
+func (s *Server) sendProto(out chan<- *kvproto.Frame, resp *kvproto.Response) {
 	if resp.Status != kvproto.StatusOK {
 		s.proto.errOps.Add(1)
 	}
-	payload, err := kvproto.AppendResponse(nil, resp)
+	f, err := kvproto.NewResponseFrame(resp)
 	if err != nil {
 		// Encoding our own response can only fail on a server bug
 		// (oversized pair list); degrade to a generic error.
-		payload, _ = kvproto.AppendResponse(nil, &kvproto.Response{
+		f, _ = kvproto.NewResponseFrame(&kvproto.Response{
 			ID: resp.ID, Op: resp.Op, Status: kvproto.StatusError, Msg: "response encoding failed",
 		})
 	}
-	out <- payload
+	out <- f
 }
 
 // answerProto answers one decoded binary request that survived the
 // dequeue check: OpStats from the TM counters, every data op through
 // exec with its cause mapped to the binary status.
-func (s *Server) answerProto(req *kvproto.Request, dl time.Time) *kvproto.Response {
+func (s *Server) answerProto(req *kvproto.Request, dl time.Time) kvproto.Response {
 	s.proto.ops.Add(1)
 	if req.Op == kvproto.OpStats {
 		st := s.tm.Stats()
-		return &kvproto.Response{ID: req.ID, Op: req.Op, Stats: kvproto.Stats{
+		return kvproto.Response{ID: req.ID, Op: req.Op, Stats: kvproto.Stats{
 			Commits:        st.Commits,
 			Aborts:         st.Aborts,
 			Keys:           s.store.Len(),
@@ -199,5 +197,5 @@ func (s *Server) answerProto(req *kvproto.Request, dl time.Time) *kvproto.Respon
 	}
 	resp, c := s.exec(req, dl, surfProto)
 	resp.Status = causes[c].proto
-	return &resp
+	return resp
 }

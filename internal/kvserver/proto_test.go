@@ -1,32 +1,54 @@
 package kvserver
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tinystm/internal/kvclient"
 	"tinystm/internal/kvproto"
 )
 
-// capturingListener records accepted connections so tests can sever them
+// countingConn counts the Read and Write calls made on a connection:
+// each is one read(2) or write(2) on a TCP socket.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// capturingListener records accepted connections, wrapped in a
+// countingConn, so tests can count a connection's syscalls or sever it
 // under a live client.
 type capturingListener struct {
 	net.Listener
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []*countingConn
 }
 
 func (l *capturingListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if err == nil {
-		l.mu.Lock()
-		l.conns = append(l.conns, c)
-		l.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	cc := &countingConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, cc)
+	l.mu.Unlock()
+	return cc, nil
 }
 
 func (l *capturingListener) severAll() {
@@ -287,6 +309,59 @@ func TestProtoFrameDesync(t *testing.T) {
 	}
 }
 
+// TestProtoBurstCoalescesSyscalls pins the server's stream I/O, bounded
+// by work rather than time: a burst of pipelined requests sent in one
+// client write is taken in with a handful of reads (the reader drains
+// the socket through a buffer) and answered in fewer writes than frames
+// (the writer flushes only when its queue stays dry).
+func TestProtoBurstCoalescesSyscalls(t *testing.T) {
+	h := startProto(t, Config{})
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const burst = 256
+	var stream []byte
+	for i := uint64(0); i < burst; i++ {
+		if stream, err = kvproto.AppendRequestFrame(stream, &kvproto.Request{ID: i, Op: kvproto.OpGet, Key: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	seen := make(map[uint64]bool)
+	var buf []byte
+	for len(seen) < burst {
+		p, err := kvproto.ReadFrame(br, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = p
+		resp, err := kvproto.DecodeResponse(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != kvproto.StatusOK || resp.ID >= burst || seen[resp.ID] {
+			t.Fatalf("unexpected response %+v", resp)
+		}
+		seen[resp.ID] = true
+	}
+	h.lis.mu.Lock()
+	sc := h.lis.conns[0]
+	h.lis.mu.Unlock()
+	t.Logf("server: %d reads, %d writes for %d frames each way", sc.reads.Load(), sc.writes.Load(), burst)
+	// The reads include the one the reader is blocked in now.
+	if r := sc.reads.Load(); r > burst/16 {
+		t.Errorf("server took %d reads for a %d-request burst, want at most %d", r, burst, burst/16)
+	}
+	if w := sc.writes.Load(); w >= burst {
+		t.Errorf("server answered %d frames in %d writes, want fewer writes than frames", burst, w)
+	}
+}
+
 // TestProtoClientRedial kills the connection under the client and checks
 // the next call dials fresh and succeeds.
 func TestProtoClientRedial(t *testing.T) {
@@ -309,6 +384,62 @@ func TestProtoClientRedial(t *testing.T) {
 	}
 	if val, found, err := c.Get(5); err != nil || !found || val != 50 {
 		t.Fatalf("post-redial Get = (%d, %v, %v), want (50, true)", val, found, err)
+	}
+}
+
+// TestProtoPipelinedAllocs pins the allocations of a pipelined round
+// trip, client and server together (both run in this process): rounds
+// of 16 concurrent calls over one connection, as BenchmarkProtoPipelined
+// makes them. The frame path allocates nothing per frame; what is left
+// is the decoded messages, the call's completion channel, the op
+// goroutine and the store's own allocations.
+func TestProtoPipelinedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// Either op measures 10; the ceiling leaves room for 2 more.
+	const depth, ceiling = 16, 12
+	c := startProto(t, Config{}).c
+	for k := uint64(0); k < depth; k++ {
+		if _, err := c.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range []string{"get", "put"} {
+		start, done := make(chan uint64), make(chan error)
+		for w := 0; w < depth; w++ {
+			go func() {
+				for k := range start {
+					var err error
+					if op == "get" {
+						_, _, err = c.Get(k)
+					} else {
+						_, err = c.Put(k, k)
+					}
+					done <- err
+				}
+			}()
+		}
+		var failed error
+		round := func() {
+			for k := uint64(0); k < depth; k++ {
+				start <- k
+			}
+			for range depth {
+				if err := <-done; err != nil {
+					failed = err
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(200, round) / depth
+		close(start)
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		t.Logf("%s: %.1f allocs per round trip", op, allocs)
+		if allocs > ceiling {
+			t.Errorf("%s: %.1f allocs per pipelined round trip, want at most %d", op, allocs, ceiling)
+		}
 	}
 }
 
