@@ -11,7 +11,10 @@
 // artifact; benchdiff compares the MEDIAN of those repeats and prints
 // their spread (± half the range, relative to the median) next to it, so
 // a delta can be read against the run-to-run noise of both sides.
-// Benchmarks present in only one artifact are reported and skipped.
+// Benchmarks present in only one artifact are reported and skipped. A
+// zero baseline counts any change as infinitely large, so -metric
+// allocs/op -threshold 0 fails on any whole extra allocation, the first
+// one included.
 // -filter restricts the gate to a name subset — CI gates on the
 // core/microbench suites.
 //
@@ -39,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -181,8 +185,13 @@ func compare(w io.Writer, oldArt, newArt Artifact, metric string, threshold floa
 			continue
 		}
 		deltaPct := 0.0
-		if ov.median != 0 {
+		switch {
+		case ov.median != 0:
 			deltaPct = (nv.median - ov.median) / ov.median * 100
+		case nv.median != 0:
+			// From a zero baseline any change is unbounded: a first
+			// allocation where there were none must fail an allocs/op gate.
+			deltaPct = math.Copysign(math.Inf(1), nv.median)
 		}
 		worse := deltaPct
 		if higherIsBetter {

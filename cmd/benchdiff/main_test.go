@@ -118,3 +118,33 @@ func TestCompareGatesOnMedian(t *testing.T) {
 		t.Fatalf("median +30%% not gated: %v\n%s", reg, out.String())
 	}
 }
+
+// TestCompareZeroBaseline checks an allocs/op gate against a baseline of
+// zero: a first allocation is a regression at any threshold, a zero that
+// stays zero is not, and a drop to zero is an improvement.
+func TestCompareZeroBaseline(t *testing.T) {
+	runs := func(sha string, vals ...float64) Artifact {
+		a := Artifact{SHA: sha}
+		for _, v := range vals {
+			a.Results = append(a.Results, Benchmark{Name: "BenchmarkProtoPipelined/get-2", Metrics: map[string]float64{"allocs/op": v}})
+		}
+		return a
+	}
+	zero := runs("aaa", 0, 0, 0)
+	var out strings.Builder
+	if reg := compare(&out, zero, runs("bbb", 1, 1, 0), "allocs/op", 0, false, nil); len(reg) != 1 {
+		t.Fatalf("0 -> 1 allocs/op not gated: %v\n%s", reg, out.String())
+	}
+	if !strings.Contains(out.String(), "+Inf%") {
+		t.Errorf("table does not show the unbounded change:\n%s", out.String())
+	}
+	if reg := compare(&out, zero, runs("ccc", 0, 1, 0), "allocs/op", 0, false, nil); len(reg) != 0 {
+		t.Fatalf("a median that stayed 0 gated: %v\n%s", reg, out.String())
+	}
+	if reg := compare(&out, runs("ddd", 10, 10, 10), zero, "allocs/op", 0, false, nil); len(reg) != 0 {
+		t.Fatalf("10 -> 0 allocs/op gated: %v\n%s", reg, out.String())
+	}
+	if reg := compare(&out, runs("eee", 1, 1, 1), runs("fff", 2, 2, 2), "allocs/op", 0, false, nil); len(reg) != 1 {
+		t.Fatalf("1 -> 2 allocs/op not gated: %v\n%s", reg, out.String())
+	}
+}

@@ -43,3 +43,22 @@ func updateBodiesMayRedo(tm *stm.TM, tx *stm.Tx) {
 		tx.Redo(stm.RedoOp{Key: 1, Val: 2})
 	})
 }
+
+// fieldOp binds its body once, into a field; the runner call on the field
+// is checked like one on a literal.
+type fieldOp struct {
+	key uint64
+	get func(*stm.Tx)
+}
+
+func newFieldOp() *fieldOp {
+	o := &fieldOp{}
+	o.get = func(tx *stm.Tx) {
+		logPut(tx, o.key, 0)
+	}
+	return o
+}
+
+func viaField(tm *stm.TM, tx *stm.Tx, o *fieldOp) {
+	tm.AtomicRO(tx, o.get) // want `AtomicRO body reaches Redo`
+}

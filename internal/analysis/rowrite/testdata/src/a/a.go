@@ -72,3 +72,25 @@ func readsAreFine(tm *stm.TM, m *stm.Map) uint64 {
 	})
 	return v
 }
+
+// fieldOp binds its read-only body once, into a field; the runner call on
+// the field is checked like one on a literal.
+type fieldOp struct {
+	m   *stm.Map
+	key uint64
+	get func(*stm.Tx)
+}
+
+func newFieldOp(m *stm.Map) *fieldOp {
+	o := &fieldOp{m: m}
+	o.get = func(tx *stm.Tx) {
+		o.m.Put(tx, o.key, 1)
+	}
+	return o
+}
+
+func viaField(tm *stm.TM, o *fieldOp) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.AtomicRO(tx, o.get) // want `AtomicRO body reaches a write: Put`
+}

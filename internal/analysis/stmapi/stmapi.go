@@ -246,7 +246,9 @@ func isStoreSig(m *types.Func) bool {
 }
 
 // ResolveBody resolves a runner's body argument to a function literal:
-// either the literal itself or, via bodies, a local variable bound to one.
+// the literal itself or, via bodies, a local variable or a struct field
+// bound to one (x.body, where some x.body = func(...){...} is the field's
+// only binding: the pre-bound bodies of a pooled operation).
 func ResolveBody(bodies map[types.Object]*ast.FuncLit, info *types.Info, expr ast.Expr) *ast.FuncLit {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
@@ -255,22 +257,37 @@ func ResolveBody(bodies map[types.Object]*ast.FuncLit, info *types.Info, expr as
 		if obj := info.Uses[e]; obj != nil {
 			return bodies[obj]
 		}
+	case *ast.SelectorExpr:
+		if field := fieldOf(info, e); field != nil {
+			return bodies[field]
+		}
 	}
 	return nil
 }
 
-// LocalFuncLits indexes `v := func(...){...}` bindings across the package
-// so a runner call's body argument can be resolved when it is a variable.
-// Only single-assignment bindings are recorded: a rebound variable could
-// alias several literals.
+// fieldOf returns the (origin) struct field a selector expression names,
+// or nil when it names anything else. Fields of a generic type are keyed
+// by their origin, so every instantiation resolves to one binding.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) types.Object {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	if v, ok := s.Obj().(*types.Var); ok {
+		return v.Origin()
+	}
+	return nil
+}
+
+// LocalFuncLits indexes `v := func(...){...}` and `x.f = func(...){...}`
+// bindings across the package so a runner call's body argument can be
+// resolved when it is a variable or a field. Only single-assignment
+// bindings are recorded: a rebound variable or field could alias several
+// literals.
 func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.FuncLit {
 	out := make(map[types.Object]*ast.FuncLit)
 	rebound := make(map[types.Object]bool)
-	bind := func(id *ast.Ident, rhs ast.Expr) {
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
+	bind := func(obj types.Object, rhs ast.Expr) {
 		if obj == nil {
 			return
 		}
@@ -282,6 +299,13 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 		}
 		out[obj] = lit
 	}
+	bindIdent := func(id *ast.Ident, rhs ast.Expr) {
+		obj := info.Defs[id]
+		if obj == nil {
+			obj = info.Uses[id]
+		}
+		bind(obj, rhs)
+	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
@@ -290,10 +314,14 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 					return true
 				}
 				for i, lhs := range st.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if _, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); isLit {
-							bind(id, st.Rhs[i])
-						}
+					if _, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); !isLit {
+						continue
+					}
+					switch l := lhs.(type) {
+					case *ast.Ident:
+						bindIdent(l, st.Rhs[i])
+					case *ast.SelectorExpr:
+						bind(fieldOf(info, l), st.Rhs[i])
 					}
 				}
 			case *ast.ValueSpec:
@@ -302,7 +330,7 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 				}
 				for i, id := range st.Names {
 					if _, isLit := ast.Unparen(st.Values[i]).(*ast.FuncLit); isLit {
-						bind(id, st.Values[i])
+						bindIdent(id, st.Values[i])
 					}
 				}
 			}

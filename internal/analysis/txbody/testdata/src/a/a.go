@@ -78,3 +78,35 @@ func resetMakesItIdempotent(tm *stm.TM) (int, []uint64) {
 	})
 	return total, hits
 }
+
+// pooledOp binds its body once, into a field, the way kvstore's pooled
+// single-key operations do: a runner call on the field resolves to the
+// literal bound there, and the op's fields are captured state.
+type pooledOp[T any] struct {
+	n    int
+	sum  int
+	ch   chan uint64
+	run  func(*stm.Tx)
+	scan func(*stm.Tx)
+	tag  T
+}
+
+func newPooledOp[T any]() *pooledOp[T] {
+	o := &pooledOp[T]{}
+	o.run = func(tx *stm.Tx) {
+		o.n++              // want `captured variable "o.n" mutated non-idempotently inside Atomic body`
+		o.ch <- tx.Load(1) // want `channel send inside Atomic body`
+	}
+	o.scan = func(tx *stm.Tx) {
+		o.sum = 0
+		o.sum += int(tx.Load(2))
+	}
+	return o
+}
+
+func runPooled(tm *stm.TM, o *pooledOp[int]) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.Atomic(tx, o.run)
+	tm.AtomicRO(tx, o.scan)
+}

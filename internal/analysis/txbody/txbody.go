@@ -84,8 +84,8 @@ func checkBody(pass *framework.Pass, kind stmapi.BodyKind, body *ast.FuncLit) {
 		case *ast.GoStmt:
 			pass.Reportf(st.Go, "goroutine launched inside %s body: bodies re-execute on abort, duplicating the launch", kind)
 		case *ast.IncDecStmt:
-			if obj := capturedVar(info, body, st.X); obj != nil && !resetBefore(resets, obj, st.Pos()) {
-				pass.Reportf(st.Pos(), "captured variable %q mutated non-idempotently inside %s body with no in-body reset: retries accumulate", obj.Name(), kind)
+			if obj, path := capturedVar(info, body, st.X); obj != nil && !resetBefore(resets, path, st.Pos()) {
+				pass.Reportf(st.Pos(), "captured variable %q mutated non-idempotently inside %s body with no in-body reset: retries accumulate", path, kind)
 			}
 		case *ast.AssignStmt:
 			checkAssign(pass, kind, body, resets, st)
@@ -105,7 +105,7 @@ func checkAssign(pass *framework.Pass, kind stmapi.BodyKind, body *ast.FuncLit, 
 		if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
 			return
 		}
-		obj := capturedVar(info, body, st.Lhs[0])
+		obj, path := capturedVar(info, body, st.Lhs[0])
 		if obj == nil {
 			return
 		}
@@ -119,16 +119,16 @@ func checkAssign(pass *framework.Pass, kind stmapi.BodyKind, body *ast.FuncLit, 
 		if !ok || fn.Name != "append" || len(call.Args) == 0 {
 			return
 		}
-		if arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && info.Uses[arg] == obj && !resetBefore(resets, obj, st.Pos()) {
-			pass.Reportf(st.Pos(), "captured slice %q appended to inside %s body with no in-body reset: retries accumulate", obj.Name(), kind)
+		if arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && info.Uses[arg] == obj && !resetBefore(resets, path, st.Pos()) {
+			pass.Reportf(st.Pos(), "captured slice %q appended to inside %s body with no in-body reset: retries accumulate", path, kind)
 		}
 	default:
 		// Compound assignment: +=, -=, |=, ...
 		if len(st.Lhs) != 1 {
 			return
 		}
-		if obj := capturedVar(info, body, st.Lhs[0]); obj != nil && !resetBefore(resets, obj, st.Pos()) {
-			pass.Reportf(st.Pos(), "captured variable %q mutated non-idempotently inside %s body with no in-body reset: retries accumulate", obj.Name(), kind)
+		if obj, path := capturedVar(info, body, st.Lhs[0]); obj != nil && !resetBefore(resets, path, st.Pos()) {
+			pass.Reportf(st.Pos(), "captured variable %q mutated non-idempotently inside %s body with no in-body reset: retries accumulate", path, kind)
 		}
 	}
 }
@@ -205,11 +205,12 @@ func checkPkgCall(pass *framework.Pass, kind stmapi.BodyKind, call *ast.CallExpr
 	}
 }
 
-// reset is one idempotent re-assignment of a captured variable inside the
-// body: `x = e` where e does not read x, or the truncation `x = x[:0]`.
+// reset is one idempotent re-assignment of a captured variable (or of a
+// field of one, x.f) inside the body: `x = e` where e does not read x, or
+// the truncation `x = x[:0]`. path is the assigned expression as written.
 type reset struct {
-	obj types.Object
-	pos token.Pos
+	path string
+	pos  token.Pos
 }
 
 func collectResets(info *types.Info, body *ast.FuncLit) []reset {
@@ -223,16 +224,12 @@ func collectResets(info *types.Info, body *ast.FuncLit) []reset {
 			if i >= len(st.Rhs) {
 				break
 			}
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := info.Uses[id]
+			obj, path := capturedVar(info, body, lhs)
 			if obj == nil {
 				continue
 			}
 			if isReset(info, obj, st.Rhs[i]) {
-				out = append(out, reset{obj: obj, pos: st.Pos()})
+				out = append(out, reset{path: path, pos: st.Pos()})
 			}
 		}
 		return true
@@ -260,9 +257,9 @@ func isReset(info *types.Info, obj types.Object, rhs ast.Expr) bool {
 	return !reads
 }
 
-func resetBefore(resets []reset, obj types.Object, pos token.Pos) bool {
+func resetBefore(resets []reset, path string, pos token.Pos) bool {
 	for _, r := range resets {
-		if r.obj == obj && r.pos < pos {
+		if r.path == path && r.pos < pos {
 			return true
 		}
 	}
@@ -270,23 +267,37 @@ func resetBefore(resets []reset, obj types.Object, pos token.Pos) bool {
 }
 
 // capturedVar resolves expr to a variable declared OUTSIDE the body
-// literal (captured by reference), or nil.
-func capturedVar(info *types.Info, body *ast.FuncLit, expr ast.Expr) types.Object {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
+// literal (captured by reference), or nil, and returns the expression as
+// written. A field path x.f.g resolves to its root x: a field of captured
+// state is captured state (the pre-bound bodies of a pooled operation
+// keep their per-call results in fields).
+func capturedVar(info *types.Info, body *ast.FuncLit, expr ast.Expr) (types.Object, string) {
+	e := ast.Unparen(expr)
+	for {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		if s, ok := info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
+			return nil, ""
+		}
+		e = ast.Unparen(sel.X)
+	}
+	id, ok := e.(*ast.Ident)
 	if !ok {
-		return nil
+		return nil, ""
 	}
 	obj := info.Uses[id]
 	if obj == nil {
-		return nil
+		return nil, ""
 	}
 	if _, isVar := obj.(*types.Var); !isVar {
-		return nil
+		return nil, ""
 	}
 	if stmapi.PosWithin(obj.Pos(), body) {
-		return nil // declared inside the body: each attempt gets a fresh one
+		return nil, "" // declared inside the body: each attempt gets a fresh one
 	}
-	return obj
+	return obj, types.ExprString(ast.Unparen(expr))
 }
 
 func lockMethod(name string) bool {

@@ -1,15 +1,24 @@
 // Package kvclient is the pipelined client for the kvproto binary
 // protocol. One Client owns one TCP connection and multiplexes any
 // number of concurrent callers over it: each call claims a request id,
-// registers a completion channel, and the shared writer/reader pair
-// streams frames both ways — thousands of requests in flight, responses
-// matched by id as they complete out of order. This is what makes the
-// binary surface measure the STM instead of connection handling: no
-// per-request dial, no per-request goroutine on the server's HTTP mux,
-// no JSON. Each call encodes its request frame in place and queues it;
-// the writer flushes only when its queue stays empty after a yield, and
-// the reader drains the socket through a buffer, so a pipelined burst
-// costs one write(2) and one read(2) rather than one or two per frame.
+// registers itself in the connection's pending table, and the shared
+// writer/reader pair streams frames both ways — thousands of requests in
+// flight, responses matched by id as they complete out of order. This is
+// what makes the binary surface measure the STM instead of connection
+// handling: no per-request dial, no per-request goroutine on the server's
+// HTTP mux, no JSON. Each call encodes its request frame in place and
+// queues it; the writer flushes only when its queue stays empty after a
+// yield, and the reader drains the socket through a buffer, so a
+// pipelined burst costs one write(2) and one read(2) rather than one or
+// two per frame.
+//
+// A call allocates nothing in steady state. Its request, response and
+// completion channel live in a pooled call slot; the reader decodes each
+// response into a message it owns and copies it into the waiting slot.
+// A slot goes back to the pool only once its outcome has been received:
+// a call that times out abandons its slot to the garbage collector, so a
+// response arriving late can only land in the abandoned slot, never in a
+// newer call's.
 //
 // The client redials lazily: a broken connection fails every in-flight
 // call with ErrConn, and the next call dials fresh (one dial at a time —
@@ -139,15 +148,22 @@ type clientConn struct {
 
 	//stm:allow-atomic guards the pending-call table on the client side
 	mu      sync.Mutex
-	pending map[uint64]chan outcome
+	pending map[uint64]*call
 	err     error // set once broken; guards against late registrations
 }
 
-// outcome is what a waiting call receives.
-type outcome struct {
-	resp *kvproto.Response
-	err  error
+// call is one attempt's slot: its request, its response, and the
+// channel its outcome arrives on (nil: resp holds the response). Exactly
+// one outcome is sent per registration, by the reader or by fail, and
+// done is buffered, so delivery never blocks.
+type call struct {
+	req  kvproto.Request
+	resp kvproto.Response
+	done chan error
 }
+
+// calls recycles call slots whose outcome was received.
+var calls = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
 
 // New builds a client for addr ("host:port"). The connection is dialed
 // lazily on first use.
@@ -249,7 +265,7 @@ func (c *Client) start(sock net.Conn) *clientConn {
 		c:       sock,
 		out:     make(chan *kvproto.Frame, c.opts.MaxInflight),
 		dead:    make(chan struct{}),
-		pending: make(map[uint64]chan outcome),
+		pending: make(map[uint64]*call),
 		onFail: func(err error) {
 			// A connection dying under us is a breaker failure; our own
 			// Close is not.
@@ -284,10 +300,13 @@ func (cc *clientConn) writeLoop() {
 
 // readLoop matches responses to waiting calls by id until the stream
 // breaks, then fails everything still pending. Frames are read through a
-// buffer, so one read(2) takes in every response already in the socket.
+// buffer, so one read(2) takes in every response already in the socket,
+// and decoded into one message the reader owns, then copied into the
+// waiting call's slot.
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.c, 64<<10)
 	var buf []byte
+	var resp kvproto.Response
 	for {
 		payload, err := kvproto.ReadFrame(br, buf)
 		if err != nil {
@@ -295,27 +314,27 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		buf = payload
-		resp, err := kvproto.DecodeResponse(payload)
-		if err != nil {
+		if err := kvproto.DecodeResponseInto(payload, &resp); err != nil {
 			cc.fail(fmt.Errorf("%w: decode: %v", ErrConn, err))
 			return
 		}
 		cc.mu.Lock()
-		ch, ok := cc.pending[resp.ID]
+		cl, ok := cc.pending[resp.ID]
 		if ok {
 			delete(cc.pending, resp.ID)
 		}
 		cc.mu.Unlock()
 		if ok {
-			ch <- outcome{resp: resp}
+			cl.resp = resp
+			cl.done <- nil
 		}
 	}
 }
 
 // fail breaks the connection once: closes the socket, fails every
 // pending call, and poisons the table against late registrations. Every
-// pending channel is buffered, so delivery never blocks and callers
-// that already gave up (op timeout) cost nothing.
+// done channel is buffered, so delivery never blocks and callers that
+// already gave up (op timeout) cost nothing.
 func (cc *clientConn) fail(err error) {
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -331,45 +350,49 @@ func (cc *clientConn) fail(err error) {
 	if cc.onFail != nil {
 		cc.onFail(err)
 	}
-	for _, ch := range pending {
-		ch <- outcome{err: err}
+	for _, cl := range pending {
+		cl.done <- err
 	}
 }
 
-// register claims a slot in the pending table; fails fast on a broken
-// connection.
-func (cc *clientConn) register(id uint64, ch chan outcome) error {
+// register enters cl in the pending table under its request id; fails
+// fast on a broken connection.
+func (cc *clientConn) register(cl *call) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.err != nil {
 		return cc.err
 	}
-	cc.pending[id] = ch
+	cc.pending[cl.req.ID] = cl
 	return nil
 }
 
 // roundTrip sends one request and waits for its response, retrying
 // under the budget when configured. Concurrent roundTrips pipeline on
-// the shared connection.
-func (c *Client) roundTrip(req *kvproto.Request) (*kvproto.Response, error) {
+// the shared connection. The returned slot holds the response; the
+// caller reads it and hands the slot back with calls.Put.
+func (c *Client) roundTrip(req kvproto.Request) (*call, error) {
 	if c.retrier == nil {
-		return c.attempt(req)
+		return c.attempt(&req)
 	}
-	var resp *kvproto.Response
+	var cl *call
 	err := c.retrier.Do(func() error {
 		var aerr error
-		resp, aerr = c.attempt(req)
+		cl, aerr = c.attempt(&req)
 		return aerr
 	})
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return cl, nil
 }
 
-// attempt is one send/receive try. The req's ID is (re)assigned here, so
-// a retried request is a fresh id on whatever connection is current.
-func (c *Client) attempt(req *kvproto.Request) (*kvproto.Response, error) {
+// attempt is one send/receive try in a call slot of its own. The
+// request's ID is (re)assigned here, so a retried request is a fresh id
+// on whatever connection is current. The slot is returned only with a
+// nil error; a slot whose outcome was received is recycled on every
+// other path, and one whose outcome may still arrive is abandoned.
+func (c *Client) attempt(req *kvproto.Request) (*call, error) {
 	c.inflight <- struct{}{}
 	defer func() { <-c.inflight }()
 
@@ -385,21 +408,25 @@ func (c *Client) attempt(req *kvproto.Request) (*kvproto.Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl := calls.Get().(*call)
+	cl.req = *req
 	c.mu.Lock()
 	c.nextID++
-	req.ID = c.nextID
+	cl.req.ID = c.nextID
 	c.mu.Unlock()
 
-	frame, err := kvproto.NewRequestFrame(req)
+	frame, err := kvproto.NewRequestFrame(&cl.req)
 	if err != nil {
+		calls.Put(cl)
 		return nil, err
 	}
-	ch := make(chan outcome, 1)
-	if err := conn.register(req.ID, ch); err != nil {
+	if err := conn.register(cl); err != nil {
+		calls.Put(cl)
 		return nil, err
 	}
-	// A dead connection has already delivered this call's failure to ch;
-	// the select keeps the send from blocking on a writer that is gone.
+	// A dead connection has already delivered this call's failure to
+	// cl.done; the select keeps the send from blocking on a writer that
+	// is gone.
 	//
 	// An op timeout fails the WHOLE connection, not just this call: the
 	// stream is FIFO per direction, and a stream that did not deliver in
@@ -411,33 +438,39 @@ func (c *Client) attempt(req *kvproto.Request) (*kvproto.Response, error) {
 	case conn.out <- frame:
 	case <-conn.dead:
 	case <-timeout:
+		// The slot is abandoned: fail (or the reader) still sends its
+		// outcome there.
 		conn.fail(fmt.Errorf("%w: op timed out after %v before send; stream no longer trusted", ErrConn, c.opts.OpTimeout))
 		return nil, fmt.Errorf("%w: %v elapsed before send", ErrDeadline, c.opts.OpTimeout)
 	}
-	var out outcome
 	select {
-	case out = <-ch:
+	case err = <-cl.done:
 	case <-timeout:
+		// Abandoned like above: a late response lands in this slot,
+		// which no newer call will ever use.
 		conn.fail(fmt.Errorf("%w: op timed out after %v; stream no longer trusted", ErrConn, c.opts.OpTimeout))
 		return nil, fmt.Errorf("%w: no response within %v", ErrDeadline, c.opts.OpTimeout)
 	}
-	if out.err != nil {
-		return nil, out.err
+	if err != nil {
+		calls.Put(cl)
+		return nil, err
 	}
 	// Any decoded response proves the server end-to-end healthy.
 	if c.breaker != nil {
 		c.breaker.Success()
 	}
-	switch out.resp.Status {
+	switch cl.resp.Status {
 	case kvproto.StatusOK:
-		return out.resp, nil
+		return cl, nil
 	case kvproto.StatusUnavailable:
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, out.resp.Msg)
+		err = fmt.Errorf("%w: %s", ErrUnavailable, cl.resp.Msg)
 	case kvproto.StatusDeadlineExceeded:
-		return nil, fmt.Errorf("%w: server shed: %s", ErrDeadline, out.resp.Msg)
+		err = fmt.Errorf("%w: server shed: %s", ErrDeadline, cl.resp.Msg)
 	default:
-		return nil, fmt.Errorf("kvclient: server error: %s", out.resp.Msg)
+		err = fmt.Errorf("kvclient: server error: %s", cl.resp.Msg)
 	}
+	calls.Put(cl)
+	return nil, err
 }
 
 // ResilienceStats snapshots the client's retry and breaker activity.
@@ -470,74 +503,82 @@ func (c *Client) ResilienceStats() ResilienceStats {
 
 // Get reads one key.
 func (c *Client) Get(key uint64) (val uint64, found bool, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpGet, Key: key})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpGet, Key: key})
 	if err != nil {
 		return 0, false, err
 	}
-	return resp.Val, resp.Found, nil
+	defer calls.Put(cl)
+	return cl.resp.Val, cl.resp.Found, nil
 }
 
 // Put upserts key; inserted reports whether it was absent.
 func (c *Client) Put(key, val uint64) (inserted bool, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpPut, Key: key, Val: val})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpPut, Key: key, Val: val})
 	if err != nil {
 		return false, err
 	}
-	return resp.OK, nil
+	defer calls.Put(cl)
+	return cl.resp.OK, nil
 }
 
 // Delete removes key; found reports whether it existed.
 func (c *Client) Delete(key uint64) (found bool, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpDelete, Key: key})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpDelete, Key: key})
 	if err != nil {
 		return false, err
 	}
-	return resp.Found, nil
+	defer calls.Put(cl)
+	return cl.resp.Found, nil
 }
 
 // CAS swaps key from old to new atomically.
 func (c *Client) CAS(key, old, new uint64) (ok bool, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpCAS, Key: key, Old: old, Val: new})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpCAS, Key: key, Old: old, Val: new})
 	if err != nil {
 		return false, err
 	}
-	return resp.OK, nil
+	defer calls.Put(cl)
+	return cl.resp.OK, nil
 }
 
 // Add atomically adds delta to key (missing keys start at zero) and
 // returns the new value.
 func (c *Client) Add(key, delta uint64) (val uint64, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpAdd, Key: key, Val: delta})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpAdd, Key: key, Val: delta})
 	if err != nil {
 		return 0, err
 	}
-	return resp.Val, nil
+	defer calls.Put(cl)
+	return cl.resp.Val, nil
 }
 
 // Batch runs ops as one atomic transaction.
 func (c *Client) Batch(ops []kvproto.BatchOp) ([]kvproto.BatchResult, error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpBatch, Ops: ops})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpBatch, Ops: ops})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Results, nil
+	defer calls.Put(cl)
+	return cl.resp.Results, nil
 }
 
 // Scan returns up to limit pairs (0: server default) plus the exact
 // total key count and whether the walk ran as a snapshot.
 func (c *Client) Scan(limit uint32) (pairs []kvproto.KV, total uint64, snapshot bool, err error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpScan, Limit: limit})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpScan, Limit: limit})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return resp.Pairs, resp.Total, resp.Snapshot, nil
+	defer calls.Put(cl)
+	return cl.resp.Pairs, cl.resp.Total, cl.resp.Snapshot, nil
 }
 
 // Stats fetches the server's core counters.
 func (c *Client) Stats() (kvproto.Stats, error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpStats})
+	cl, err := c.roundTrip(kvproto.Request{Op: kvproto.OpStats})
 	if err != nil {
 		return kvproto.Stats{}, err
 	}
-	return resp.Stats, nil
+	defer calls.Put(cl)
+	return cl.resp.Stats, nil
 }

@@ -2,11 +2,13 @@ package kvclient
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tinystm/internal/kvproto"
 )
@@ -111,4 +113,93 @@ func answerBurst(lis net.Listener, n int) error {
 	}
 	_, err = conn.Write(stream)
 	return err
+}
+
+// TestLateResponseNeverReachesNewerCall times calls out against a server
+// that answers key 0 late, with delays around the op timeout, and runs
+// newer calls right behind each one: a late response lands in its
+// abandoned call slot, so a newer call, which may reuse any recycled
+// slot, always reads its own answer.
+func TestLateResponseNeverReachesNewerCall(t *testing.T) {
+	const timeout, stale = 20 * time.Millisecond, 999
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go serveLate(lis, timeout, stale)
+	c := New(lis.Addr().String(), Options{OpTimeout: timeout})
+	defer c.Close()
+
+	for i := 0; i < 12; i++ {
+		if val, _, err := c.Get(0); err == nil && val != stale {
+			t.Fatalf("round %d: the slow call read %d, want its own answer %d", i, val, stale)
+		}
+		var wg sync.WaitGroup
+		for k := uint64(1); k <= 8; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					val, found, err := c.Get(k)
+					if errors.Is(err, ErrConn) {
+						continue // the slow call's timeout failed this connection
+					}
+					if err != nil || !found || val != k+1 {
+						t.Errorf("round %d: Get(%d) = (%d, %v, %v), want (%d, true)", i, k, val, found, err, k+1)
+					}
+					return
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// serveLate answers every Get on every connection with key+1, except key
+// 0, which it answers with stale after a delay that sweeps from 3/4 to
+// 5/4 of timeout across requests.
+func serveLate(lis net.Listener, timeout time.Duration, stale uint64) {
+	var slow atomic.Int64
+	for {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			var mu sync.Mutex
+			answer := func(resp kvproto.Response) {
+				f, err := kvproto.AppendResponseFrame(nil, &resp)
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				conn.Write(f)
+			}
+			br := bufio.NewReader(conn)
+			var buf []byte
+			for {
+				p, err := kvproto.ReadFrame(br, buf)
+				if err != nil {
+					return
+				}
+				buf = p
+				var req kvproto.Request
+				if kvproto.DecodeRequestInto(p, &req) != nil {
+					return
+				}
+				if req.Key != 0 {
+					answer(kvproto.Response{ID: req.ID, Op: req.Op, Found: true, Val: req.Key + 1})
+					continue
+				}
+				delay := timeout*3/4 + timeout*time.Duration(slow.Add(1)%5)/8
+				go func() {
+					time.Sleep(delay)
+					answer(kvproto.Response{ID: req.ID, Op: req.Op, Found: true, Val: stale})
+				}()
+			}
+		}()
+	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzDecodeFrame feeds arbitrary byte streams through the full receive
-// path — ReadFrame, then both decoders — and enforces the package
+// path — ReadFrame, then both decoders into reused messages, as the
+// server's and the client's readers call them — and enforces the package
 // contract: malformed input returns an error, it never panics and never
 // over-allocates past the framing bounds.
 func FuzzDecodeFrame(f *testing.F) {
@@ -44,18 +45,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// A verified payload may still be malformed; decoding must simply
 		// not panic either way.
-		if req, err := DecodeRequest(payload); err == nil && !req.Op.Valid() {
-			t.Fatalf("DecodeRequest accepted invalid op %d", req.Op)
+		req, resp := dirtyRequest(), dirtyResponse()
+		if err := DecodeRequestInto(payload, req); err == nil && !req.Op.Valid() {
+			t.Fatalf("DecodeRequestInto accepted invalid op %d", req.Op)
 		}
-		if resp, err := DecodeResponse(payload); err == nil && !resp.Op.Valid() {
-			t.Fatalf("DecodeResponse accepted invalid op %d", resp.Op)
+		if err := DecodeResponseInto(payload, resp); err == nil && !resp.Op.Valid() {
+			t.Fatalf("DecodeResponseInto accepted invalid op %d", resp.Op)
 		}
 	})
 }
 
-// FuzzRoundTrip checks that whatever DecodeRequest accepts re-encodes to
-// the identical payload (the codec is canonical: one message, one byte
-// string), and likewise for responses.
+// FuzzRoundTrip checks that whatever DecodeRequestInto accepts re-encodes
+// to the identical payload (the codec is canonical: one message, one byte
+// string), and likewise for responses. Each decode goes into a message
+// left dirty by an earlier one, as on a connection, and must equal a
+// decode into a fresh message: nothing of the old message survives.
 func FuzzRoundTrip(f *testing.F) {
 	for _, req := range sampleRequests() {
 		if p, err := AppendRequest(nil, req); err == nil {
@@ -69,7 +73,15 @@ func FuzzRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if req, err := DecodeRequest(payload); err == nil {
+		req, resp := dirtyRequest(), dirtyResponse()
+		reqErr, respErr := DecodeRequestInto(payload, req), DecodeResponseInto(payload, resp)
+		if fresh, err := DecodeRequest(payload); (err == nil) != (reqErr == nil) || err == nil && !reflect.DeepEqual(req, fresh) {
+			t.Fatalf("request decode into a used message diverged from a fresh one: %v vs %v", reqErr, err)
+		}
+		if fresh, err := DecodeResponse(payload); (err == nil) != (respErr == nil) || err == nil && !reflect.DeepEqual(resp, fresh) {
+			t.Fatalf("response decode into a used message diverged from a fresh one: %v vs %v", respErr, err)
+		}
+		if reqErr == nil {
 			out, err := AppendRequest(nil, req)
 			if err != nil {
 				t.Fatalf("accepted request %+v failed to re-encode: %v", req, err)
@@ -82,7 +94,7 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("request double decode diverged: %v", err)
 			}
 		}
-		if resp, err := DecodeResponse(payload); err == nil {
+		if respErr == nil {
 			out, err := AppendResponse(nil, resp)
 			if err != nil {
 				t.Fatalf("accepted response %+v failed to re-encode: %v", resp, err)
@@ -92,4 +104,17 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// dirtyRequest and dirtyResponse return messages with every field set, as
+// a connection's reused message is after an earlier decode.
+func dirtyRequest() *Request {
+	return &Request{ID: 1, Op: OpCAS, Key: 2, Val: 3, Old: 4, TimeoutMs: 5, Limit: 6,
+		Ops: []BatchOp{{Op: OpPut, Key: 7, Val: 8, Old: 9}}}
+}
+
+func dirtyResponse() *Response {
+	return &Response{ID: 1, Op: OpScan, Status: StatusError, Msg: "old", Found: true, OK: true, Val: 2,
+		Total: 3, Snapshot: true, Pairs: []KV{{Key: 4, Val: 5}}, Results: []BatchResult{{Val: 6, Found: true}},
+		Stats: Stats{Commits: 7, Aborts: 8, Keys: 9, AdmissionWidth: 10}}
 }

@@ -35,9 +35,12 @@
 // the HTTP surface (Get/Put/Delete/CAS/Add/Batch/Scan/Stats); see
 // appendRequestBody / appendResponseBody for the exact layouts.
 //
-// Decoding arbitrary bytes must never panic: DecodeRequest and
-// DecodeResponse validate every length and bound before reading, and the
-// fuzz targets in this package enforce it.
+// Decoding arbitrary bytes must never panic: DecodeRequestInto and
+// DecodeResponseInto (and DecodeRequest / DecodeResponse, which wrap them
+// with a fresh message) validate every length and bound before reading,
+// and the fuzz targets in this package enforce it. The Into forms decode
+// into a message the caller owns, so a connection's reader allocates
+// nothing for a single-key message.
 //
 // Streams. AppendRequestFrame and AppendResponseFrame encode a message
 // and its header in one pass into the caller's buffer. Frame and
@@ -384,23 +387,36 @@ func appendRequestBody(dst []byte, req *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRequest parses one request payload. It never panics on malformed
-// input and rejects trailing bytes (a frame carries exactly one message).
+// DecodeRequest parses one request payload into a fresh Request. It
+// never panics on malformed input and rejects trailing bytes (a frame
+// carries exactly one message).
 func DecodeRequest(p []byte) (*Request, error) {
-	d := decoder{buf: p}
 	req := &Request{}
+	if err := DecodeRequestInto(p, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeRequestInto is DecodeRequest into caller-owned storage: it
+// overwrites every field of *req, so a connection reader can decode each
+// frame into the same few messages without allocating. Only a Batch's Ops
+// slice is allocated, fresh each time. After an error *req is garbage.
+func DecodeRequestInto(p []byte, req *Request) error {
+	*req = Request{}
+	d := decoder{buf: p}
 	req.ID = d.u64()
 	opByte := d.u8()
 	req.Op = Op(opByte &^ opDeadlineFlag)
 	if d.err == nil && !req.Op.Valid() {
-		return nil, ErrBadOp
+		return ErrBadOp
 	}
 	if opByte&opDeadlineFlag != 0 {
 		req.TimeoutMs = d.u32()
 		if d.err == nil && req.TimeoutMs == 0 {
 			// Canonical: "no deadline" is encoded as a clear flag, so a
 			// flagged zero budget is something our encoder never emits.
-			return nil, ErrBadDeadline
+			return ErrBadDeadline
 		}
 	}
 	switch req.Op {
@@ -416,11 +432,11 @@ func DecodeRequest(p []byte) (*Request, error) {
 	case OpBatch:
 		n := d.u32()
 		if d.err == nil && n > MaxBatchOps {
-			return nil, ErrTooManyOps
+			return ErrTooManyOps
 		}
 		if d.err == nil && int(n)*25 > d.remaining() {
 			// Each sub-op is 25 bytes; reject the count before allocating.
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		if d.err == nil {
 			req.Ops = make([]BatchOp, n)
@@ -428,13 +444,13 @@ func DecodeRequest(p []byte) (*Request, error) {
 				o := &req.Ops[i]
 				o.Op = Op(d.u8())
 				if d.err == nil && (o.Op < OpGet || o.Op > OpAdd) {
-					return nil, ErrBadOp
+					return ErrBadOp
 				}
 				o.Key, o.Val, o.Old = d.u64(), d.u64(), d.u64()
 			}
 		}
 	}
-	return finish(&d, req)
+	return d.finish()
 }
 
 // AppendResponse appends resp's payload (no frame header) to dst.
@@ -496,27 +512,39 @@ func appendResponseBody(dst []byte, resp *Response) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResponse parses one response payload; like DecodeRequest it never
-// panics and rejects trailing bytes.
+// DecodeResponse parses one response payload into a fresh Response; like
+// DecodeRequest it never panics and rejects trailing bytes.
 func DecodeResponse(p []byte) (*Response, error) {
-	d := decoder{buf: p}
 	resp := &Response{}
+	if err := DecodeResponseInto(p, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// DecodeResponseInto is DecodeResponse into caller-owned storage, like
+// DecodeRequestInto: every field of *resp is overwritten, and only the
+// variable-length parts (Msg, Results, Pairs) are allocated, fresh each
+// time. After an error *resp is garbage.
+func DecodeResponseInto(p []byte, resp *Response) error {
+	*resp = Response{}
+	d := decoder{buf: p}
 	resp.ID = d.u64()
 	resp.Op = Op(d.u8())
 	resp.Status = Status(d.u8())
 	if d.err == nil && !resp.Op.Valid() {
-		return nil, ErrBadOp
+		return ErrBadOp
 	}
 	if d.err == nil && resp.Status >= statusEnd {
-		return nil, fmt.Errorf("kvproto: invalid status %d", resp.Status)
+		return fmt.Errorf("kvproto: invalid status %d", resp.Status)
 	}
 	if d.err == nil && resp.Status != StatusOK {
 		n := d.u16()
 		if d.err == nil && int(n) > maxMsg {
-			return nil, ErrMsgTooLong
+			return ErrMsgTooLong
 		}
 		resp.Msg = string(d.bytes(int(n)))
-		return finish(&d, resp)
+		return d.finish()
 	}
 	switch resp.Op {
 	case OpGet:
@@ -529,10 +557,10 @@ func DecodeResponse(p []byte) (*Response, error) {
 	case OpBatch:
 		n := d.u32()
 		if d.err == nil && n > MaxBatchOps {
-			return nil, ErrTooManyOps
+			return ErrTooManyOps
 		}
 		if d.err == nil && int(n)*9 > d.remaining() {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		if d.err == nil {
 			resp.Results = make([]BatchResult, n)
@@ -546,10 +574,10 @@ func DecodeResponse(p []byte) (*Response, error) {
 		resp.Total = d.u64()
 		n := d.u32()
 		if d.err == nil && n > MaxScanPairs {
-			return nil, ErrTooManyPairs
+			return ErrTooManyPairs
 		}
 		if d.err == nil && int(n)*16 > d.remaining() {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		if d.err == nil && n > 0 {
 			resp.Pairs = make([]KV, n)
@@ -563,7 +591,7 @@ func DecodeResponse(p []byte) (*Response, error) {
 		resp.Stats.Keys = d.u64()
 		resp.Stats.AdmissionWidth = d.u32()
 	}
-	return finish(&d, resp)
+	return d.finish()
 }
 
 // flags packs the two response booleans into one byte; bit 0 is
@@ -655,14 +683,13 @@ func (d *decoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// finish returns v only when the whole payload was consumed exactly.
-func finish[V any](d *decoder, v V) (V, error) {
-	var zero V
+// finish reports whether the whole payload was consumed exactly.
+func (d *decoder) finish() error {
 	if d.err != nil {
-		return zero, d.err
+		return d.err
 	}
 	if d.remaining() != 0 {
-		return zero, ErrTrailingBytes
+		return ErrTrailingBytes
 	}
-	return v, nil
+	return nil
 }

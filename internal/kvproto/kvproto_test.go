@@ -394,6 +394,29 @@ func BenchmarkProtoEncode(b *testing.B) {
 	_ = frame
 }
 
+// TestDecodeIntoAllocFree pins the readers' decode of a single-key
+// message into a reused one at zero allocations.
+func TestDecodeIntoAllocFree(t *testing.T) {
+	p, err := AppendRequest(nil, &Request{ID: 1, Op: OpCAS, Key: 42, Old: 7, Val: 8, TimeoutMs: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := AppendResponse(nil, &Response{ID: 1, Op: OpGet, Found: true, Val: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	var resp Response
+	allocs := testing.AllocsPerRun(100, func() {
+		if DecodeRequestInto(p, &req) != nil || DecodeResponseInto(rp, &resp) != nil {
+			t.Fatal("decode failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding into reused messages: %.1f allocs, want 0", allocs)
+	}
+}
+
 func BenchmarkProtoDecode(b *testing.B) {
 	p, err := AppendRequest(nil, &Request{ID: 1, Op: OpCAS, Key: 42, Old: 7, Val: 8})
 	if err != nil {
@@ -407,9 +430,13 @@ func BenchmarkProtoDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkProtoRoundTrip encodes, frames, reads and decodes a Put and
+// its response, decoding into reused messages as the connection readers do.
 func BenchmarkProtoRoundTrip(b *testing.B) {
 	req := &Request{ID: 1, Op: OpPut, Key: 42, Val: 7}
 	resp := &Response{ID: 1, Op: OpPut, OK: true}
+	var gotReq Request
+	var gotResp Response
 	var frame, buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -427,14 +454,14 @@ func BenchmarkProtoRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = payload
-		if _, err := DecodeRequest(payload); err != nil {
+		if err := DecodeRequestInto(payload, &gotReq); err != nil {
 			b.Fatal(err)
 		}
 		rp, err := AppendResponse(nil, resp)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodeResponse(rp); err != nil {
+		if err := DecodeResponseInto(rp, &gotResp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,11 @@ package kvserver
 import (
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"tinystm/internal/kvproto"
 	"tinystm/internal/wal"
 )
 
@@ -278,5 +281,102 @@ func TestCheckpointTruncatesAndRestartUsesIt(t *testing.T) {
 	}
 	if code := doJSON(t, c2, "GET", ts2.URL+"/kv/100", "", &got); code != 200 || got.Val != 1000 {
 		t.Fatalf("post-checkpoint key: status %d val %d", code, got.Val)
+	}
+}
+
+// holdFS is a MemFS whose file syncs block while held: the write-ahead
+// log's flush stalls and every durability wait with it.
+type holdFS struct {
+	*wal.MemFS
+	held    atomic.Bool
+	release chan struct{}
+}
+
+func (h *holdFS) Create(p string) (wal.File, error) {
+	f, err := h.MemFS.Create(p)
+	if err != nil {
+		return nil, err
+	}
+	return holdFile{File: f, fs: h}, nil
+}
+
+type holdFile struct {
+	wal.File
+	fs *holdFS
+}
+
+func (f holdFile) Sync() error {
+	if f.fs.held.Load() {
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestAdmissionSlotReleasedAtCommit runs two updates through a width-1
+// admission gate while the log's flush is held. The first commits and
+// waits for durability; the gate must already be free then, so the
+// second commits too, while the first still waits.
+func TestAdmissionSlotReleasedAtCommit(t *testing.T) {
+	fs := &holdFS{MemFS: wal.NewMemFS(), release: make(chan struct{})}
+	cfg := durableCfg(fs.MemFS)
+	cfg.WALFS = fs
+	cfg.AdmissionWidth = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waitReady(t, s)
+	fs.held.Store(true)
+	released := false
+	defer func() {
+		if !released {
+			close(fs.release)
+		}
+	}()
+
+	put := func(key uint64) chan cause {
+		done := make(chan cause, 1)
+		go func() {
+			_, c := s.exec(&kvproto.Request{Op: kvproto.OpPut, Key: key, Val: key}, time.Time{}, surfProto)
+			done <- c
+		}()
+		return done
+	}
+	// committed polls until key's update is visible in the store.
+	committed := func(key uint64) {
+		t.Helper()
+		for start := time.Now(); ; time.Sleep(time.Millisecond) {
+			if _, found := s.store.Get(key); found {
+				return
+			}
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("update of key %d never committed", key)
+			}
+		}
+	}
+	first := put(1)
+	committed(1)
+	second := put(2)
+	committed(2)
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		if _, inflight, _, _ := s.gate.Stats(); inflight == 0 {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the gate still counts an update in flight")
+		}
+	}
+	select {
+	case c := <-first:
+		t.Fatalf("first update returned (cause %d) with the log flush held", c)
+	default:
+	}
+	released = true
+	close(fs.release)
+	for i, done := range []chan cause{first, second} {
+		if c := <-done; c != causeOK {
+			t.Errorf("update %d finished with cause %d, want OK", i+1, c)
+		}
 	}
 }

@@ -52,7 +52,8 @@ var causes = [nCauses]struct {
 //
 // The request passes, in order: the brownout ladder, the lifecycle gate,
 // the op-stage deadline check (batch and scan, the long operations), the
-// update-admission gate under the deadline (every update), and the store.
+// update-admission gate under the deadline (every update, released when
+// its transaction commits), and the store.
 // Arena exhaustion and a failed durability wait surface as panics from
 // the store and are turned into causes here.
 func (s *Server) exec(req *kvproto.Request, dl time.Time, surf int) (resp kvproto.Response, c cause) {
@@ -105,39 +106,46 @@ func (s *Server) exec(req *kvproto.Request, dl time.Time, surf int) (resp kvprot
 			return resp, causeDeadline
 		}
 	}
+	// committed is the store's hook for an admitted update: the store
+	// calls it once the transaction commits, before it waits for
+	// durability, and the gate slot goes back then. The gate bounds
+	// running transactions; a committed one waiting for its fsync holds
+	// no locks.
+	var committed func()
 	if update {
-		release, ok := s.enterUpdateUntil(dl)
-		if !ok {
+		if !s.enterUpdateUntil(dl) {
 			resp.Msg = s.shedDeadline(surf, shedStageGate)
 			return resp, causeDeadline
 		}
-		defer release()
+		committed = s.gateExit
 	}
 
+	// The op codes OpGet..OpAdd list the store's op kinds in order.
+	single := kvstore.Op{Kind: kvstore.OpKind(req.Op - kvproto.OpGet), Key: req.Key, Val: req.Val, Old: req.Old}
 	switch req.Op {
 	case kvproto.OpGet:
-		if resp.Val, resp.Found = s.store.Get(req.Key); !resp.Found {
+		r := s.store.Do(single, nil)
+		if resp.Val, resp.Found = r.Val, r.Found; !resp.Found {
 			resp.Msg = "key not found"
 			return resp, causeNotFound
 		}
 	case kvproto.OpPut:
-		resp.OK = s.store.Put(req.Key, req.Val)
+		resp.OK = s.store.Do(single, committed).OK
 	case kvproto.OpDelete:
-		if resp.Found = s.store.Delete(req.Key); !resp.Found {
+		if resp.Found = s.store.Do(single, committed).Found; !resp.Found {
 			resp.Msg = "key not found"
 			return resp, causeNotFound
 		}
 	case kvproto.OpCAS:
-		resp.OK = s.store.CAS(req.Key, req.Old, req.Val)
+		resp.OK = s.store.Do(single, committed).OK
 	case kvproto.OpAdd:
-		resp.Val = s.store.Add(req.Key, req.Val)
+		resp.Val = s.store.Do(single, committed).Val
 	case kvproto.OpBatch:
-		// The sub-op codes OpGet..OpAdd list the store's op kinds in order.
 		ops := make([]kvstore.Op, len(req.Ops))
 		for i, o := range req.Ops {
 			ops[i] = kvstore.Op{Kind: kvstore.OpKind(o.Op - kvproto.OpGet), Key: o.Key, Val: o.Val, Old: o.Old}
 		}
-		res := s.store.Apply(ops)
+		res := s.store.DoBatch(ops, committed)
 		resp.Results = make([]kvproto.BatchResult, len(res))
 		for i, r := range res {
 			resp.Results[i] = kvproto.BatchResult{Val: r.Val, Found: r.Found, OK: r.OK}

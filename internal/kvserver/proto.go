@@ -1,14 +1,16 @@
 // The binary-protocol surface: a codec over exec, like the HTTP one. The
-// reader decodes each kvproto frame into a kvproto.Request, anchors its
-// relative budget to an absolute deadline, and hands it to its own
-// goroutine (bounded per connection); OpStats answers from the TM
-// counters, every data op runs through exec, and exec's cause becomes
-// the response Status through the causes table. The op goroutine encodes
-// its response frame itself, and the writer streams frames back in
-// COMPLETION order, so a slow update never convoys the reads pipelined
-// behind it. Beyond exec's stages the binary surface has one of its own:
-// the dequeue deadline check, for an op that waited behind a full
-// pipeline.
+// reader decodes each kvproto frame into a kvproto.Request it owns,
+// anchors its relative budget to an absolute deadline, and hands it to an
+// idle op worker of the connection, starting a new worker only when none
+// is idle (at most protoInflight per connection; the workers live until
+// the connection closes, so a request costs no goroutine start and no
+// stack growth). OpStats answers from the TM counters, every data op runs
+// through exec, and exec's cause becomes the response Status through the
+// causes table. The worker encodes its response frame itself, and the
+// writer streams frames back in COMPLETION order, so a slow update never
+// convoys the reads pipelined behind it. Beyond exec's stages the binary
+// surface has one of its own: the dequeue deadline check, for an op that
+// waited behind a full pipeline.
 //
 // Both directions batch syscalls: the reader takes frames from a
 // buffered reader, so one read(2) drains every request pipelined into the
@@ -30,10 +32,11 @@ import (
 	"tinystm/internal/kvproto"
 )
 
-// protoInflight bounds one connection's concurrently executing ops: the
-// pipeline stays thousands deep in the kernel socket buffers, but only
-// this many transactions run at once per connection (the admission gate
-// then bounds updaters across ALL connections).
+// protoInflight bounds one connection's concurrently executing ops, and
+// so its op workers: the pipeline stays thousands deep in the kernel
+// socket buffers, but only this many transactions run at once per
+// connection (the admission gate then bounds updaters across ALL
+// connections).
 const protoInflight = 256
 
 // protoStats carries the binary listener's counters for /stats and the
@@ -49,6 +52,8 @@ type protoStats struct {
 	errOps atomic.Uint64 // responses with a non-OK status
 	//stm:allow-atomic listener accounting outside any transaction
 	badFrames atomic.Uint64 // connections dropped for framing/decode errors
+	//stm:allow-atomic listener accounting outside any transaction
+	workers atomic.Uint64 // op worker goroutines started in total
 }
 
 func (p *protoStats) stats() map[string]any {
@@ -58,6 +63,7 @@ func (p *protoStats) stats() map[string]any {
 		"ops":        p.ops.Load(),
 		"err_ops":    p.errOps.Load(),
 		"bad_frames": p.badFrames.Load(),
+		"workers":    p.workers.Load(),
 	}
 }
 
@@ -90,7 +96,7 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 	defer conn.Close()
 
 	// The writer drains out. Responses complete out of order by design;
-	// the id the client chose is its only matching key. Each op goroutine
+	// the id the client chose is its only matching key. Each op worker
 	// encodes its own response frame and queues it on the buffered
 	// channel without rendezvousing with the writer, which copies queued
 	// frames into one buffer and flushes when the queue stays dry after a
@@ -102,18 +108,23 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 		defer close(writerDone)
 		if kvproto.WriteFrames(conn, out, nil) != nil {
 			// Drain without writing: the connection is gone, but op
-			// goroutines must never block on send.
+			// workers must never block on send.
 			for range out {
 			}
 		}
 	}()
 
+	// The op workers: idle ones wait on idle, which has a place for each
+	// of the at most protoInflight workers, so going idle never blocks.
+	// All of them end when their next channel closes with the connection.
+	idle := make(chan *protoWorker, protoInflight)
+	var workers []*protoWorker
 	var wg sync.WaitGroup
-	slots := make(chan struct{}, protoInflight)
 	// Frames are read through a buffer, so one read(2) takes in every
 	// request the client has pipelined into the socket so far.
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
+	req := new(kvproto.Request)
 	for {
 		payload, err := kvproto.ReadFrame(br, buf)
 		if err != nil {
@@ -123,15 +134,14 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 			break
 		}
 		buf = payload
-		req, err := kvproto.DecodeRequest(payload)
-		if err != nil {
+		if err := kvproto.DecodeRequestInto(payload, req); err != nil {
 			// The frame was intact (CRC passed) but the payload is not a
 			// request we understand: answer StatusError when the id is
 			// recoverable, then drop the connection — the peer is broken.
 			s.proto.badFrames.Add(1)
 			if len(payload) >= 8 {
 				id := binary.LittleEndian.Uint64(payload[:8])
-				s.sendProto(out, &kvproto.Response{ID: id, Op: kvproto.OpGet, Status: kvproto.StatusError, Msg: err.Error()})
+				out <- s.protoFrame(&kvproto.Response{ID: id, Op: kvproto.OpGet, Status: kvproto.StatusError, Msg: err.Error()})
 			}
 			break
 		}
@@ -142,31 +152,70 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 		if req.TimeoutMs > 0 {
 			dl = time.Now().Add(time.Duration(req.TimeoutMs) * time.Millisecond)
 		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(req *kvproto.Request, dl time.Time) {
-			defer func() { <-slots; wg.Done() }()
-			// Dequeue check: the op may have sat behind a full pipeline
-			// (the slots send above blocks when protoInflight ops run).
-			// Starting work for a client that already gave up is waste.
-			if expired(dl) {
-				s.sendProto(out, &kvproto.Response{
-					ID: req.ID, Op: req.Op, Status: kvproto.StatusDeadlineExceeded,
-					Msg: s.shedDeadline(surfProto, shedStageDequeue),
-				})
-				return
+		var w *protoWorker
+		select {
+		case w = <-idle:
+		default:
+			if len(workers) < protoInflight {
+				w = &protoWorker{next: make(chan struct{}, 1), req: new(kvproto.Request)}
+				workers = append(workers, w)
+				s.proto.workers.Add(1)
+				wg.Add(1)
+				go s.runProtoWorker(w, idle, out, &wg)
+			} else {
+				// protoInflight ops run: wait for one to finish.
+				w = <-idle
 			}
-			resp := s.answerProto(req, dl)
-			s.sendProto(out, &resp)
-		}(req, dl)
+		}
+		// The worker takes the decoded request; the reader keeps the
+		// worker's finished one to decode the next frame into.
+		req, w.req = w.req, req
+		w.dl = dl
+		w.next <- struct{}{}
+	}
+	for _, w := range workers {
+		close(w.next)
 	}
 	wg.Wait()
 	close(out)
 	<-writerDone
 }
 
-// sendProto encodes and enqueues one response.
-func (s *Server) sendProto(out chan<- *kvproto.Frame, resp *kvproto.Response) {
+// protoWorker is one op worker of a connection: the reader hands it a
+// request and its deadline, then signals next.
+type protoWorker struct {
+	next chan struct{}
+	req  *kvproto.Request
+	dl   time.Time
+}
+
+// runProtoWorker answers each request handed to w until the connection
+// closes w.next. It goes back on idle once the response is encoded and
+// before it is queued, so by the time a client reads a response, the
+// worker that produced it can take the next request.
+func (s *Server) runProtoWorker(w *protoWorker, idle chan<- *protoWorker, out chan<- *kvproto.Frame, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for range w.next {
+		var f *kvproto.Frame
+		// Dequeue check: the op may have waited for a worker behind a
+		// full pipeline (protoInflight ops running). Starting work for a
+		// client that already gave up is waste.
+		if expired(w.dl) {
+			f = s.protoFrame(&kvproto.Response{
+				ID: w.req.ID, Op: w.req.Op, Status: kvproto.StatusDeadlineExceeded,
+				Msg: s.shedDeadline(surfProto, shedStageDequeue),
+			})
+		} else {
+			resp := s.answerProto(w.req, w.dl)
+			f = s.protoFrame(&resp)
+		}
+		idle <- w
+		out <- f
+	}
+}
+
+// protoFrame encodes one response.
+func (s *Server) protoFrame(resp *kvproto.Response) *kvproto.Frame {
 	if resp.Status != kvproto.StatusOK {
 		s.proto.errOps.Add(1)
 	}
@@ -178,7 +227,7 @@ func (s *Server) sendProto(out chan<- *kvproto.Frame, resp *kvproto.Response) {
 			ID: resp.ID, Op: resp.Op, Status: kvproto.StatusError, Msg: "response encoding failed",
 		})
 	}
-	out <- f
+	return f
 }
 
 // answerProto answers one decoded binary request that survived the

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tinystm/internal/kvclient"
 	"tinystm/internal/kvproto"
@@ -390,15 +392,15 @@ func TestProtoClientRedial(t *testing.T) {
 // TestProtoPipelinedAllocs pins the allocations of a pipelined round
 // trip, client and server together (both run in this process): rounds
 // of 16 concurrent calls over one connection, as BenchmarkProtoPipelined
-// makes them. The frame path allocates nothing per frame; what is left
-// is the decoded messages, the call's completion channel, the op
-// goroutine and the store's own allocations.
+// makes them.
 func TestProtoPipelinedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	// Either op measures 10; the ceiling leaves room for 2 more.
-	const depth, ceiling = 16, 12
+	// Either op measures 0: the op workers, store bodies, call slots and
+	// decoded messages are all reused. AllocsPerRun counts whole
+	// allocations per round, so a rare pool refill after a GC is not one.
+	const depth, ceiling = 16, 0
 	c := startProto(t, Config{}).c
 	for k := uint64(0); k < depth; k++ {
 		if _, err := c.Put(k, k); err != nil {
@@ -445,7 +447,7 @@ func TestProtoPipelinedAllocs(t *testing.T) {
 
 // BenchmarkProtoPipelined measures pipelined Get and Put round trips over
 // one binary connection. allocs/op counts both ends (client and server
-// run in this process), so compare it between revisions, not to zero.
+// run in this process); both are 0 in steady state.
 func BenchmarkProtoPipelined(b *testing.B) {
 	for _, op := range []string{"get", "put"} {
 		b.Run(op, func(b *testing.B) {
@@ -487,5 +489,70 @@ func BenchmarkProtoPipelined(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// TestProtoWorkersReused sends bursts of pipelined requests on one
+// connection: the connection's op workers serve every burst, so the
+// server starts no more of them than one burst's depth, its goroutine
+// count stays within that depth plus the connection's reader and writer,
+// and everything it started ends with the connection.
+func TestProtoWorkersReused(t *testing.T) {
+	const bursts, depth, slack = 10, 64, 4
+	h := startProto(t, Config{})
+	if _, err := h.c.Put(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	h.c.Close()
+	waitGoroutines(t, func(n int) bool { return h.srv.proto.conns.Load() == 0 })
+	base := runtime.NumGoroutine()
+	started := h.srv.proto.workers.Load()
+
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var stream, buf []byte
+	for b := 0; b < bursts; b++ {
+		stream = stream[:0]
+		for i := 0; i < depth; i++ {
+			if stream, err = kvproto.AppendRequestFrame(stream, &kvproto.Request{ID: uint64(i), Op: kvproto.OpGet, Key: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < depth; i++ {
+			p, err := kvproto.ReadFrame(br, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = p
+			var resp kvproto.Response
+			if err := kvproto.DecodeResponseInto(p, &resp); err != nil || resp.Status != kvproto.StatusOK || !resp.Found {
+				t.Fatalf("burst %d: response %+v, %v", b, resp, err)
+			}
+		}
+		if g := runtime.NumGoroutine(); g > base+depth+slack {
+			t.Fatalf("burst %d: %d goroutines, want at most %d (start %d + depth %d + %d)", b, g, base+depth+slack, base, depth, slack)
+		}
+	}
+	if n := h.srv.proto.workers.Load() - started; n > depth {
+		t.Errorf("started %d op workers for %d bursts of %d requests, want at most %d", n, bursts, depth, depth)
+	}
+	conn.Close()
+	waitGoroutines(t, func(n int) bool { return n <= base })
+}
+
+// waitGoroutines polls until done holds for the goroutine count, failing
+// the test after ten seconds.
+func waitGoroutines(t *testing.T, done func(n int) bool) {
+	t.Helper()
+	for start := time.Now(); !done(runtime.NumGoroutine()); runtime.Gosched() {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("still %d goroutines", runtime.NumGoroutine())
+		}
 	}
 }

@@ -68,20 +68,18 @@ func (s *Server) shedDeadline(surf, stage int) string {
 
 // enterUpdateUntil claims an update-admission slot under the request's
 // deadline, or reports that the budget ran out first (the caller then
-// sheds). A zero deadline never sheds; a nil gate admits freely.
-func (s *Server) enterUpdateUntil(dl time.Time) (release func(), ok bool) {
+// sheds). A zero deadline never sheds; a nil gate admits freely. The slot
+// is handed back through s.gateExit.
+func (s *Server) enterUpdateUntil(dl time.Time) bool {
 	if s.gate == nil {
-		if expired(dl) {
-			return nil, false
-		}
-		return func() {}, true
+		return !expired(dl)
 	}
 	t0 := time.Now()
 	if !s.gate.EnterUntil(dl) {
-		return nil, false
+		return false
 	}
 	s.met.admWaitNs.Record(uint64(time.Since(t0)))
-	return s.gate.Exit, true
+	return true
 }
 
 // brownSheds reports whether the current brownout level sheds class c,

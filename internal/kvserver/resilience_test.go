@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -413,5 +414,79 @@ func TestStatsResilienceBlocks(t *testing.T) {
 				t.Fatalf("deadline shed block missing %s/%s", surf, stage)
 			}
 		}
+	}
+}
+
+// TestProtoDeadlineShedAtDequeue fills a connection's protoInflight op
+// slots with updates parked at a held width-1 gate, then pipelines one
+// more update with a 1 ms budget behind them. It waits for a free worker
+// past its deadline, so the dequeue check must shed it: answered
+// deadline-exceeded, counted at the dequeue stage, and never run.
+func TestProtoDeadlineShedAtDequeue(t *testing.T) {
+	const shedKey = 1 << 20
+	h := startProto(t, Config{AdmissionWidth: 1})
+	h.srv.gate.Enter() // occupy the only slot
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var stream []byte
+	for i := uint64(0); i < protoInflight; i++ {
+		if stream, err = kvproto.AppendRequestFrame(stream, &kvproto.Request{ID: i, Op: kvproto.OpPut, Key: i, Val: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stream, err = kvproto.AppendRequestFrame(stream, &kvproto.Request{
+		ID: protoInflight, Op: kvproto.OpPut, Key: shedKey, Val: 1, TimeoutMs: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	// Every op slot holds an update waiting at the gate; the budgeted
+	// update is next in line and its 1 ms runs out meanwhile.
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		if _, _, _, waited := h.srv.gate.Stats(); waited >= protoInflight {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the op slots never filled")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	before := h.srv.shed.deadline[surfProto][shedStageDequeue].Load()
+	h.srv.gate.Exit()
+
+	br := bufio.NewReader(conn)
+	var buf []byte
+	shed := false
+	for i := 0; i <= protoInflight; i++ {
+		p, err := kvproto.ReadFrame(br, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = p
+		resp, err := kvproto.DecodeResponse(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case resp.ID == protoInflight && resp.Status == kvproto.StatusDeadlineExceeded:
+			shed = true
+		case resp.ID < protoInflight && resp.Status == kvproto.StatusOK:
+		default:
+			t.Fatalf("unexpected response (id %d, %v, %q)", resp.ID, resp.Status, resp.Msg)
+		}
+	}
+	if !shed {
+		t.Fatal("the budgeted update was not answered deadline-exceeded")
+	}
+	if got := h.srv.shed.deadline[surfProto][shedStageDequeue].Load() - before; got != 1 {
+		t.Errorf("proto dequeue-stage shed counter rose by %d, want 1", got)
+	}
+	if _, found := h.srv.store.Get(shedKey); found {
+		t.Error("the shed update ran: its key is in the store")
 	}
 }

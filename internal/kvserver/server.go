@@ -207,8 +207,9 @@ type Server struct {
 	start time.Time
 	dur   *durability
 	// gate is the update-admission token bucket, nil without
-	// AdmissionWidth.
-	gate *admission.Gate
+	// AdmissionWidth; gateExit is its Exit, bound once (nil with it).
+	gate     *admission.Gate
+	gateExit func()
 	// met owns every instrument (histograms, registry, flight recorder,
 	// shard heat); proto carries the binary listener's counters.
 	met   *metrics
@@ -269,6 +270,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AdmissionWidth > 0 {
 		s.gate = admission.New(cfg.AdmissionWidth)
+		s.gateExit = s.gate.Exit
 	}
 	// Instruments before the tuning runtime: the runtime differences the
 	// request-latency histogram per period to stamp p50/p99 onto its

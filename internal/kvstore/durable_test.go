@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -257,4 +258,43 @@ func TestLoadAfterEnableDurabilityPanics(t *testing.T) {
 		}
 	}()
 	s.Load(map[uint64]uint64{1: 1})
+}
+
+// orderSink records, at each durability wait, how many committed hooks
+// had run by then.
+type orderSink struct {
+	hooks *int
+	seen  []int
+}
+
+func (s *orderSink) WaitDurable(txn.DurableTicket) error {
+	s.seen = append(s.seen, *s.hooks)
+	return nil
+}
+
+// TestCommittedHookRunsBeforeDurabilityWait pins Do's and DoBatch's hook
+// contract: called exactly once per operation, and for an update before
+// the operation waits for durability.
+func TestCommittedHookRunsBeforeDurabilityWait(t *testing.T) {
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 20), Design: core.WriteBack})
+	s := NewStore[*core.Tx](tm, 4, 8)
+	defer s.Close()
+	hooks := 0
+	sink := &orderSink{hooks: &hooks}
+	if err := s.EnableDurability(sink); err != nil {
+		t.Fatal(err)
+	}
+	tm.SetRedoHook(func(epoch, ts uint64, ops []txn.RedoOp) txn.DurableTicket { return ops })
+	committed := func() { hooks++ }
+	s.Do(Op{Kind: OpPut, Key: 1, Val: 1}, committed)
+	s.Do(Op{Kind: OpAdd, Key: 1, Val: 1}, committed)
+	s.Do(Op{Kind: OpGet, Key: 1}, committed)
+	s.DoBatch([]Op{{Kind: OpPut, Key: 2, Val: 2}, {Kind: OpDelete, Key: 1}}, committed)
+	s.DoBatch([]Op{{Kind: OpGet, Key: 2}}, committed)
+	if hooks != 5 {
+		t.Errorf("committed hook ran %d times for 5 operations", hooks)
+	}
+	if want := []int{1, 2, 4}; fmt.Sprint(sink.seen) != fmt.Sprint(want) {
+		t.Errorf("hooks run at each durability wait = %v, want %v", sink.seen, want)
+	}
 }

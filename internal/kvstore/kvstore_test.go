@@ -199,3 +199,34 @@ func TestMixOpDrivesAllPaths(t *testing.T) {
 		t.Fatalf("expected >= one commit per op, got %d", c)
 	}
 }
+
+// TestStoreOpsAllocFree pins the single-key operations at zero heap
+// allocations in steady state with durability off: their bodies are
+// bound once per pooled keyOp, not built per call.
+func TestStoreOpsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts and drops pooled items")
+	}
+	tm := newTM(t, core.WriteBack, 1<<20)
+	s := NewStore[*core.Tx](tm, 8, 64)
+	defer s.Close()
+	const keys = 64
+	for k := uint64(0); k < keys; k++ {
+		s.Put(k, k)
+	}
+	var k uint64
+	next := func() uint64 { k = (k + 1) % keys; return k }
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"get", func() { s.Get(next()) }},
+		{"put", func() { s.Put(next(), 7) }},
+		{"add", func() { s.Add(next(), 1) }},
+		{"cas", func() { key := next(); v, _ := s.Get(key); s.CAS(key, v, v+1) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, op.run); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per op, want 0", op.name, allocs)
+		}
+	}
+}

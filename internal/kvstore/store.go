@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync"
 
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
@@ -96,11 +97,14 @@ type Store[T txn.Tx] struct {
 	// count per single-key operation, keyed by shard — the server's
 	// contention heat map. Nil costs every op one predictable branch.
 	heat *obs.ShardHeat
+	// ops recycles the single-key operations' state and bodies (keyOp).
+	ops sync.Pool
 }
 
 // NewStore builds the Map inside sys and wraps it.
 func NewStore[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Store[T] {
 	s := &Store[T]{sys: sys, m: New[T](sys, shards, buckets), pool: NewTxPool[T](sys)}
+	s.ops.New = func() any { return newKeyOp(s) }
 	// The type assertion alone is not enough: core.TM satisfies the
 	// interface even with the sidecar disabled (AtomicSnap then degrades
 	// to AtomicRO), and Scan's bounded per-shard fallback must engage in
@@ -139,45 +143,162 @@ func (s *Store[T]) Map() *Map[T] { return s.m }
 // idle.
 func (s *Store[T]) Close() { s.pool.Close() }
 
-// Get returns key's value via a read-only transaction.
-func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
+// keyOp is one single-key operation in flight: its arguments, its
+// results and the transactional bodies that read and write them. A body
+// handed to the txn.System interface escapes, so a closure built per call
+// would cost the call its own heap allocations; these bodies are bound
+// once, when the keyOp is built, and Store recycles keyOps through a
+// sync.Pool. Every body sets all the results it reports, so a retry (or
+// a recycled keyOp) starts clean.
+type keyOp[T txn.Tx] struct {
+	// Arguments: key, its shard, and val — Put's value, Add's delta,
+	// CAS's new value; old is CAS's expected value.
+	key, sh, val, old uint64
+	// Results: out is Get's value and Add's sum; found is Get's and
+	// Delete's; ok is Put's inserted and CAS's swapped; grow asks for a
+	// follow-up rehash of the shard.
+	out             uint64
+	found, ok, grow bool
+	// attempts counts the body's executions for the heat map.
+	attempts int
+	// committed is Do's hook, nil once called.
+	committed func()
+
+	get, put, del, cas, add func(T)
+}
+
+func newKeyOp[T txn.Tx](s *Store[T]) *keyOp[T] {
+	o := &keyOp[T]{}
+	o.get = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.out, o.found = s.m.Get(tx, o.key)
+	}
+	o.put = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.ok = s.m.Put(tx, o.key, o.val)
+		o.grow = o.ok && s.m.NeedsGrow(tx, o.sh)
+		s.redo(tx, txn.RedoPut, o.key, o.val)
+	}
+	o.del = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.found = s.m.Delete(tx, o.key)
+		if o.found {
+			s.redo(tx, txn.RedoDelete, o.key, 0)
+		}
+	}
+	o.cas = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.ok = s.m.CAS(tx, o.key, o.old, o.val)
+		if o.ok {
+			s.redo(tx, txn.RedoPut, o.key, o.val)
+		}
+	}
+	o.add = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.out = s.m.Add(tx, o.key, o.val)
+		o.grow = s.m.NeedsGrow(tx, o.sh)
+		s.redo(tx, txn.RedoPut, o.key, o.out)
+	}
+	return o
+}
+
+// commit calls the committed hook unless it already ran.
+func (o *keyOp[T]) commit() {
+	if f := o.committed; f != nil {
+		o.committed = nil
+		f()
+	}
+}
+
+// Do runs one single-key operation as one transaction and reports its
+// outcome the way Apply reports a batch's. It allocates nothing in steady
+// state.
+//
+// committed, when non-nil, is called exactly once: as soon as the
+// operation's transaction has committed, before the operation grows a
+// shard or waits for its commit to become durable — or, if the operation
+// panics before it commits, as the panic unwinds. A caller holding an
+// admission slot releases it there: a committed transaction waiting for
+// its fsync holds no locks and is no longer running.
+func (s *Store[T]) Do(op Op, committed func()) OpResult {
+	o := s.ops.Get().(*keyOp[T])
+	defer s.ops.Put(o)
+	o.key, o.sh, o.val, o.old = op.Key, s.m.Shard(op.Key), op.Val, op.Old
+	o.attempts, o.committed = 0, committed
+	defer o.commit()
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.AtomicRO(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		val, found = s.m.Get(tx, key)
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
-	return val, found
+	switch op.Kind {
+	case OpGet:
+		s.sys.AtomicRO(tx, o.get)
+		s.noteHeat(o.sh, o.attempts)
+		return OpResult{Val: o.out, Found: o.found}
+	case OpPut:
+		s.update(tx, o, o.put)
+		return OpResult{OK: o.ok, Found: !o.ok}
+	case OpDelete:
+		s.update(tx, o, o.del)
+		return OpResult{Found: o.found}
+	case OpCAS:
+		s.update(tx, o, o.cas)
+		return OpResult{OK: o.ok}
+	case OpAdd:
+		s.update(tx, o, o.add)
+		return OpResult{Val: o.out, OK: true}
+	default:
+		panic(fmt.Sprintf("kvstore: unknown op %d", int(op.Kind)))
+	}
+}
+
+// update runs one single-key update body and its aftermath: the committed
+// hook, the heat map, the shard growth the body asked for, and the
+// durability wait.
+func (s *Store[T]) update(tx T, o *keyOp[T], body func(T)) {
+	o.grow = false
+	s.sys.Atomic(tx, body)
+	o.commit()
+	s.noteHeat(o.sh, o.attempts)
+	// The ticket must be read before tryGrow: the growth transaction's
+	// Begin clears it from the descriptor.
+	t := s.ticket(tx)
+	if o.grow {
+		s.tryGrow(tx, o.sh)
+	}
+	s.waitDurable(t)
+}
+
+// Get returns key's value via a read-only transaction.
+func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
+	r := s.Do(Op{Kind: OpGet, Key: key}, nil)
+	return r.Val, r.Found
 }
 
 // Put upserts key and reports whether it was inserted. When the insert
 // tips the owning shard over its load factor, the shard is grown in a
 // follow-up freeze/rehash transaction before Put returns.
 func (s *Store[T]) Put(key, val uint64) (inserted bool) {
-	var grow bool
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	sh := s.m.Shard(key)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		inserted = s.m.Put(tx, key, val)
-		grow = inserted && s.m.NeedsGrow(tx, sh)
-		s.redo(tx, txn.RedoPut, key, val)
-	})
-	s.noteHeat(sh, attempts)
-	// The ticket must be read before tryGrow: the growth transaction's
-	// Begin clears it from the descriptor.
-	t := s.ticket(tx)
-	if grow {
-		s.tryGrow(tx, sh)
-	}
-	s.waitDurable(t)
-	return inserted
+	return s.Do(Op{Kind: OpPut, Key: key, Val: val}, nil).OK
+}
+
+// Delete removes key, reporting whether it was present.
+func (s *Store[T]) Delete(key uint64) (found bool) {
+	return s.Do(Op{Kind: OpDelete, Key: key}, nil).Found
+}
+
+// CAS atomically replaces key's value with new iff it currently is old.
+func (s *Store[T]) CAS(key, old, new uint64) (ok bool) {
+	return s.Do(Op{Kind: OpCAS, Key: key, Val: new, Old: old}, nil).OK
+}
+
+// Add atomically adds delta to key's value (inserting at delta when
+// absent) and returns the new value.
+func (s *Store[T]) Add(key, delta uint64) (val uint64) {
+	return s.Do(Op{Kind: OpAdd, Key: key, Val: delta}, nil).Val
 }
 
 // tryGrow runs the freeze/rehash transaction as best-effort housekeeping:
@@ -193,66 +314,6 @@ func (s *Store[T]) tryGrow(tx T, sh uint64) {
 		}
 	}()
 	s.sys.Atomic(tx, func(tx T) { s.m.Grow(tx, sh) })
-}
-
-// Delete removes key, reporting whether it was present.
-func (s *Store[T]) Delete(key uint64) (found bool) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		found = s.m.Delete(tx, key)
-		if found {
-			s.redo(tx, txn.RedoDelete, key, 0)
-		}
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
-	s.waitDurable(s.ticket(tx))
-	return found
-}
-
-// CAS atomically replaces key's value with new iff it currently is old.
-func (s *Store[T]) CAS(key, old, new uint64) (ok bool) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		ok = s.m.CAS(tx, key, old, new)
-		if ok {
-			s.redo(tx, txn.RedoPut, key, new)
-		}
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
-	s.waitDurable(s.ticket(tx))
-	return ok
-}
-
-// Add atomically adds delta to key's value (inserting at delta when
-// absent) and returns the new value.
-func (s *Store[T]) Add(key, delta uint64) (val uint64) {
-	var grow bool
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	sh := s.m.Shard(key)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		val = s.m.Add(tx, key, delta)
-		grow = s.m.NeedsGrow(tx, sh)
-		s.redo(tx, txn.RedoPut, key, val)
-	})
-	s.noteHeat(sh, attempts)
-	t := s.ticket(tx)
-	if grow {
-		s.tryGrow(tx, sh)
-	}
-	s.waitDurable(t)
-	return val
 }
 
 // Len returns the live key count via a read-only transaction (snapshot
@@ -323,7 +384,16 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 // effect commits or none does, and all Gets observe one consistent
 // snapshot. Results are positionally aligned with ops. A batch that only
 // reads runs read-only.
-func (s *Store[T]) Apply(ops []Op) []OpResult {
+func (s *Store[T]) Apply(ops []Op) []OpResult { return s.DoBatch(ops, nil) }
+
+// DoBatch is Apply with Do's committed hook: called exactly once, when
+// the transaction has committed or the batch panics before it does.
+func (s *Store[T]) DoBatch(ops []Op, committed func()) []OpResult {
+	defer func() {
+		if committed != nil {
+			committed()
+		}
+	}()
 	res := make([]OpResult, len(ops))
 	readOnly := true
 	for _, op := range ops {
@@ -375,6 +445,10 @@ func (s *Store[T]) Apply(ops []Op) []OpResult {
 		return res
 	}
 	s.sys.Atomic(tx, body)
+	if committed != nil {
+		committed()
+		committed = nil
+	}
 	t := s.ticket(tx)
 	s.growTouched(tx, ops)
 	s.waitDurable(t)
